@@ -268,15 +268,7 @@ void
 GenerationalGc::sweepOld()
 {
     heap_.resetOldFreeList();
-
-    auto opaquePin = [&](Address a) -> const ManagedHeap::PinnedRange * {
-        for (const auto &pr : heap_.pinnedRanges()) {
-            if (!pr.walkable && pr.bytes && a >= pr.addr &&
-                a < pr.addr + pr.bytes)
-                return &pr;
-        }
-        return nullptr;
-    };
+    ManagedHeap::OpaquePinCursor opaque = heap_.opaquePins();
 
     Address a = heap_.oldBase();
     Address end = heap_.oldTop();
@@ -300,7 +292,7 @@ GenerationalGc::sweepOld()
     };
 
     while (a < end) {
-        if (const auto *pr = opaquePin(a)) {
+        if (const auto *pr = opaque.at(a)) {
             flushFree(a);
             liveBytes += pr->bytes;
             a = pr->addr + pr->bytes;

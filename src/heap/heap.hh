@@ -13,6 +13,7 @@
 #ifndef SKYWAY_HEAP_HEAP_HH
 #define SKYWAY_HEAP_HEAP_HH
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <memory>
@@ -302,6 +303,47 @@ class ManagedHeap
     }
 
     /**
+     * Address-ordered cursor over the opaque pinned ranges, for one
+     * ascending walk of the old generation: at(a) names the opaque
+     * pin containing @p a, or nullptr. Queries must not go backwards;
+     * each costs amortized O(1), so a walk is O(objects + pins)
+     * rather than a scan of every pin at every step.
+     */
+    class OpaquePinCursor
+    {
+      public:
+        explicit OpaquePinCursor(const std::vector<PinnedRange> &pins)
+        {
+            for (const PinnedRange &pr : pins)
+                if (!pr.walkable && pr.bytes)
+                    pins_.push_back(pr);
+            std::sort(pins_.begin(), pins_.end(),
+                      [](const PinnedRange &x, const PinnedRange &y) {
+                          return x.addr < y.addr;
+                      });
+        }
+
+        const PinnedRange *
+        at(Address a)
+        {
+            while (next_ < pins_.size() &&
+                   pins_[next_].addr + pins_[next_].bytes <= a)
+                ++next_;
+            if (next_ < pins_.size() && a >= pins_[next_].addr)
+                return &pins_[next_];
+            return nullptr;
+        }
+
+      private:
+        /** Copies, so pinning during a walk cannot invalidate them. */
+        std::vector<PinnedRange> pins_;
+        std::size_t next_ = 0;
+    };
+
+    /** A fresh cursor over the current opaque pins. */
+    OpaquePinCursor opaquePins() const { return OpaquePinCursor(pinned_); }
+
+    /**
      * Visit every object in the old generation in address order,
      * skipping filler records and opaque pinned ranges. @p visit is
      * called with the object address.
@@ -310,9 +352,10 @@ class ManagedHeap
     void
     forEachOldObject(Visitor &&visit) const
     {
+        OpaquePinCursor opaque = opaquePins();
         Address a = oldBase_;
         while (a < oldTop_) {
-            if (const PinnedRange *pr = opaquePinAt(a)) {
+            if (const PinnedRange *pr = opaque.at(a)) {
                 a = pr->addr + pr->bytes;
                 continue;
             }
@@ -395,9 +438,6 @@ class ManagedHeap
 
     Address allocateYoung(std::size_t bytes);
     void initHeader(Address a, Klass *k);
-
-    /** The opaque pinned range containing @p a, or nullptr. */
-    const PinnedRange *opaquePinAt(Address a) const;
 
     HeapConfig config_;
     std::unique_ptr<std::uint8_t[]> arena_;

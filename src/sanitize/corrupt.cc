@@ -41,8 +41,8 @@ template <typename T>
 const T &
 pick(const std::vector<T> &v, Rng &rng, const char *what)
 {
-    panicIf(v.empty(), std::string("injectCorruption: stream has no ") +
-                           what);
+    if (v.empty())
+        panic(std::string("injectCorruption: stream has no ") + what);
     return v[rng.nextBounded(v.size())];
 }
 
@@ -109,8 +109,8 @@ indexStream(TypeResolver &resolver, const WireCheckConfig &cfg,
     if (!stream.empty())
         v.feed(stream.data(), stream.size());
     v.finish();
-    panicIf(!v.ok(), "indexStream: stream is not clean: " +
-                         v.firstFault());
+    if (!v.ok())
+        panic("indexStream: stream is not clean: " + v.firstFault());
     return v.index();
 }
 
@@ -148,15 +148,30 @@ injectCorruption(const WireIndex &index, const WireCheckConfig &cfg,
         break;
     }
     case CorruptionKind::Truncation: {
-        const auto &r = pick(index.records, rng, "records");
-        std::uint64_t cut =
-            r.physOffset + 1 + rng.nextBounded(r.size - 1);
-        stream.resize(static_cast<std::size_t>(cut));
+        // Inflate a raw segment's root count so its root table runs
+        // past the end of the stream.
+        std::uint64_t seg =
+            pick(index.rawSegmentOffsets, rng, "raw segments");
+        std::uint64_t count_off = seg + 2 * wordSize;
+        std::uint64_t past = (stream.size() - seg) / wordSize;
+        writeWord(stream, count_off,
+                  readWord(stream, count_off) + past + 1 +
+                      rng.nextBounded(64));
         break;
     }
     case CorruptionKind::DuplicatedTopMark: {
-        std::uint64_t off = pick(index.topMarkOffsets, rng, "top marks");
-        insertWord(stream, off, marker::topMark);
+        // A second first-write slot for a root's record, right behind
+        // the first one in the root table.
+        std::vector<WireIndex::Root> sites;
+        for (const WireIndex::Root &r : index.roots)
+            if (r.firstWrite)
+                sites.push_back(r);
+        const WireIndex::Root &r = pick(sites, rng, "first-write roots");
+        std::uint64_t count_off =
+            index.rawSegmentOffsets[r.segment] + 2 * wordSize;
+        writeWord(stream, count_off, readWord(stream, count_off) + 1);
+        insertWord(stream, r.physOffset + wordSize,
+                   readWord(stream, r.physOffset));
         break;
     }
     case CorruptionKind::ClobberedMark: {
@@ -180,11 +195,11 @@ injectCorruption(const WireIndex &index, const WireCheckConfig &cfg,
         break;
     }
     case CorruptionKind::BogusMarker: {
-        // Both reserved bits set, but neither marker code: a word no
-        // real object header and no marker can produce.
-        const auto &r = pick(index.records, rng, "records");
-        insertWord(stream, r.physOffset,
-                   marker::reserved | (0x1000 + rng.nextBounded(0x1000)));
+        // A raw segment's kind word replaced by one with both reserved
+        // bits set but no segment kind's code.
+        writeWord(stream,
+                  pick(index.rawSegmentOffsets, rng, "raw segments"),
+                  marker::reserved | (0x1000 + rng.nextBounded(0x1000)));
         break;
     }
     case CorruptionKind::HeaderBitFlip: {

@@ -33,15 +33,15 @@ enum class CorruptionKind
     ForgedTypeId,
     /** A reference slot re-aimed off every object start. */
     DanglingOffset,
-    /** Stream cut mid-record. */
+    /** A root count inflated past the end of the stream. */
     Truncation,
-    /** A second top mark inserted before a root's record. */
+    /** A first-write root slot duplicated in its root table. */
     DuplicatedTopMark,
     /** Machine-local mark bits (lock/GC/age) left set on the wire. */
     ClobberedMark,
     /** A stale sender claim left in the baddr word. */
     StaleBaddr,
-    /** Reserved marker bits set on a word that is no marker. */
+    /** A segment kind word replaced by an unknown marker word. */
     BogusMarker,
     /** One random bit flipped in a header word. */
     HeaderBitFlip,

@@ -329,9 +329,14 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
                        "duplicated top mark: previous top mark at +" +
                            std::to_string(awaitingTopOffset_) +
                            " has no record");
+            else if (logical_ < nextFirstWrite_)
+                report(WireFault::BadRootRecord, item_phys,
+                       "top mark names record " +
+                           std::to_string(logical_) +
+                           ", already first written");
             awaitingTopRecord_ = true;
             awaitingTopOffset_ = item_phys;
-            index_.topMarkOffsets.push_back(item_phys);
+            nextFirstWrite_ = logical_ + 1;
             ++sum_.topMarks;
             continue;
         }
@@ -348,12 +353,10 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
                            " followed by a marker, not a record");
                 awaitingTopRecord_ = false;
             }
-            if (slot != 0 && !isRecordStart(slot - 1))
-                report(WireFault::BadRootRecord, item_phys,
-                       "backward root reference " +
-                           std::to_string(slot - 1) +
-                           " is not a decoded object start");
-            index_.backRefOffsets.push_back(item_phys);
+            // A root whose record spilled into the next segment names
+            // it forward; every other root names a decoded record.
+            if (slot != 0)
+                checkRootTarget(slot - 1, item_phys);
             ++sum_.backRefs;
             continue;
         }
@@ -535,6 +538,83 @@ WireValidator::scanCompactSegment(const std::uint8_t *data,
 }
 
 void
+WireValidator::checkRootTarget(std::uint64_t target, std::uint64_t phys)
+{
+    if (target >= logical_)
+        pendingRoots_.push_back(PendingRef{target, phys});
+    else if (!isRecordStart(target))
+        report(WireFault::BadRootRecord, phys,
+               "root " + std::to_string(target) +
+                   " is not a decoded object start");
+}
+
+std::size_t
+WireValidator::scanRawSegment(const std::uint8_t *data,
+                              std::size_t remaining,
+                              std::uint64_t phys_off)
+{
+    rawseg::Header h;
+    if (rawseg::parseHeader(data, remaining, h) != rawseg::Parse::Ok) {
+        report(WireFault::TruncatedRecord, phys_off,
+               "raw segment header, or the record bytes and roots it "
+               "names, run past the " +
+                   std::to_string(remaining) + " bytes at hand");
+        return 0;
+    }
+    std::uint64_t seg_first = logical_;
+    std::size_t end = rawseg::headerBytes + h.recordBytes;
+    index_.rawSegmentOffsets.push_back(phys_off);
+
+    for (std::size_t off = rawseg::headerBytes; off < end;) {
+        std::size_t size = scanRecord(data + off, end - off,
+                                      phys_off + off);
+        if (size == 0)
+            return 0; // fatal: cannot re-synchronize within the region
+        recordStarts_.push_back(logical_);
+        awaitingTopRecord_ = false;
+        ++sum_.records;
+        logical_ += size;
+        off += size;
+    }
+
+    for (std::size_t i = 0; i < h.roots; ++i) {
+        std::uint64_t at = phys_off + end + i * wordSize;
+        Word root = wordAt(data + end + i * wordSize);
+        Word slot = rawseg::slotOf(root);
+        bool first = rawseg::isFirstWrite(root);
+        index_.roots.push_back(WireIndex::Root{
+            at, index_.rawSegmentOffsets.size() - 1, first});
+        if (!first) {
+            // A null root, or a backward reference to a record written
+            // before its writeObject ran, hence already decoded.
+            ++sum_.backRefs;
+            if (slot != 0 && !isRecordStart(slot - 1))
+                report(WireFault::BadRootRecord, at,
+                       "backward root reference " +
+                           std::to_string(slot - 1) +
+                           " is not a decoded object start");
+            continue;
+        }
+        ++sum_.topMarks;
+        if (slot == 0) {
+            report(WireFault::BadRootRecord, at,
+                   "null root tagged first-write");
+            continue;
+        }
+        std::uint64_t target = slot - 1;
+        if (target < nextFirstWrite_ || target < seg_first) {
+            report(WireFault::BadRootRecord, at,
+                   "first-write root " + std::to_string(target) +
+                       " names a record already written");
+            continue;
+        }
+        nextFirstWrite_ = target + 1;
+        checkRootTarget(target, at);
+    }
+    return h.bytes();
+}
+
+void
 WireValidator::feed(const std::uint8_t *data, std::size_t len)
 {
     std::size_t off = 0;
@@ -550,69 +630,19 @@ WireValidator::feed(const std::uint8_t *data, std::size_t len)
         }
 
         Word first = wordAt(data + off);
-        if (marker::isMarker(first)) {
-            if (first == marker::compactSeg) {
-                std::size_t used =
-                    scanCompactSegment(data + off, remaining, phys);
-                if (used == 0)
-                    break; // fatal: cannot re-synchronize
-                off += used;
-                continue;
-            }
-            if (first == marker::topMark) {
-                if (awaitingTopRecord_)
-                    report(WireFault::BadRootRecord, phys,
-                           "duplicated top mark: previous top mark at +" +
-                               std::to_string(awaitingTopOffset_) +
-                               " has no record");
-                awaitingTopRecord_ = true;
-                awaitingTopOffset_ = phys;
-                index_.topMarkOffsets.push_back(phys);
-                ++sum_.topMarks;
-                off += wordSize;
-                continue;
-            }
-            if (first == marker::backRef) {
-                if (awaitingTopRecord_) {
-                    report(WireFault::BadRootRecord, phys,
-                           "top mark at +" +
-                               std::to_string(awaitingTopOffset_) +
-                               " followed by a marker, not a record");
-                    awaitingTopRecord_ = false;
-                }
-                if (remaining < 2 * wordSize) {
-                    report(WireFault::TruncatedRecord, phys,
-                           "backward reference missing its slot word");
-                    break;
-                }
-                Word slot = wordAt(data + off + wordSize);
-                // Backward references name objects decoded earlier in
-                // this stream, so the check is immediate.
-                if (slot != 0 && !isRecordStart(slot - 1))
-                    report(WireFault::BadRootRecord, phys + wordSize,
-                           "backward root reference " +
-                               std::to_string(slot - 1) +
-                               " is not a decoded object start");
-                index_.backRefOffsets.push_back(phys);
-                ++sum_.backRefs;
-                off += 2 * wordSize;
-                continue;
-            }
+        std::size_t used = 0;
+        if (first == marker::compactSeg) {
+            used = scanCompactSegment(data + off, remaining, phys);
+        } else if (first == marker::rawSeg) {
+            used = scanRawSegment(data + off, remaining, phys);
+        } else {
             report(WireFault::UnknownMarker, phys,
-                   "marker bits set but word " + std::to_string(first) +
-                       " is neither a top mark nor a backward "
-                       "reference");
-            break;
+                   "segment starts with word " + std::to_string(first) +
+                       ", which is no segment kind word");
         }
-
-        std::size_t size = scanRecord(data + off, remaining, phys);
-        if (size == 0)
-            break; // fatal: cannot re-synchronize within this segment
-        recordStarts_.push_back(logical_);
-        awaitingTopRecord_ = false;
-        ++sum_.records;
-        logical_ += size;
-        off += size;
+        if (used == 0)
+            break; // fatal: cannot re-synchronize
+        off += used;
     }
     physical_ += len;
     sum_.physicalBytes = physical_;
@@ -634,6 +664,17 @@ WireValidator::finish()
                        " does not land on a decoded object start");
     }
     pendingRefs_.clear();
+    std::vector<PendingRef> roots;
+    roots.swap(pendingRoots_);
+    for (const PendingRef &p : roots) {
+        if (p.target >= logical_)
+            report(WireFault::BadRootRecord, p.slotOffset,
+                   "root " + std::to_string(p.target) +
+                       " names no record: the stream ends at " +
+                       std::to_string(logical_));
+        else
+            checkRootTarget(p.target, p.slotOffset);
+    }
     if (awaitingTopRecord_) {
         report(WireFault::BadRootRecord, awaitingTopOffset_,
                "top mark at end of stream has no record");

@@ -12,8 +12,10 @@
  *  - every klass word resolves in the type registry;
  *  - every relativized reference offset lands on a decoded object
  *    start within [0, flushedBytes);
- *  - top marks and backward references delimit well-formed root
- *    records;
+ *  - every segment starts with a kind word, and a raw segment's
+ *    header lengths add up to the segment;
+ *  - every root slot is null or names a record start (a first-write
+ *    root names a record not first written before);
  *  - the baddr header word is cleared on the wire (the sender's claim
  *    bits never leave the machine);
  *  - mark words carry only the transfer-surviving bits (the cached
@@ -23,7 +25,8 @@
  *
  * The validator is incremental: feed() consumes segments in flush
  * order (the same protocol as InputBuffer::feed) and finish() settles
- * the deferred checks (forward references, unterminated top marks).
+ * the deferred checks (forward references, roots whose record is in a
+ * later segment, unterminated compact top marks).
  * It never panics on corrupt input — every violation becomes a
  * WireDiagnostic with a fault category and a stream offset, which is
  * what the corruption-injection harness (corrupt.hh) asserts against.
@@ -51,11 +54,12 @@ namespace sanitize
 /** Violation categories; each injected corruption class maps to one. */
 enum class WireFault
 {
-    /** Marker bits set but neither a top mark nor a backward ref. */
+    /** A segment starts with a word that is no segment kind word. */
     UnknownMarker,
     /** Klass word does not resolve in the type registry. */
     UnresolvableTypeId,
-    /** A record (or marker operand) extends past its segment. */
+    /** A record, or a raw segment's header lengths, extend past the
+     *  bytes at hand. */
     TruncatedRecord,
     /** Record size/alignment inconsistent with the klass layout. */
     MisalignedRecord,
@@ -65,7 +69,8 @@ enum class WireFault
     BadMarkWord,
     /** Nonzero baddr word: sender claim state leaked onto the wire. */
     BadBaddrWord,
-    /** Top mark / backward reference does not delimit a root record. */
+    /** A root slot or compact root item names no record start, or
+     *  names a record already first written. */
     BadRootRecord,
     /**
      * A compact segment (docs/WIRE_FORMAT.md) is malformed: unknown
@@ -100,12 +105,14 @@ struct WireCheckConfig
 struct WireSummary
 {
     std::uint64_t records = 0;
+    /** First-write roots (tagged root slots, ctTopMark items). */
     std::uint64_t topMarks = 0;
+    /** Null and backward-reference roots. */
     std::uint64_t backRefs = 0;
     std::uint64_t refSlots = 0;
-    /** Record bytes (markers occupy no logical address space). */
+    /** Record bytes (headers and root tables take no logical space). */
     std::uint64_t logicalBytes = 0;
-    /** All fed bytes, markers included. */
+    /** All fed bytes, headers and root tables included. */
     std::uint64_t physicalBytes = 0;
 };
 
@@ -123,11 +130,19 @@ struct WireIndex
         bool isArray;
     };
 
+    /** One root-table slot word. */
+    struct Root
+    {
+        std::uint64_t physOffset;
+        /** Index into rawSegmentOffsets. */
+        std::size_t segment;
+        bool firstWrite;
+    };
+
     std::vector<Record> records;
-    /** Physical offsets of top-mark marker words. */
-    std::vector<std::uint64_t> topMarkOffsets;
-    /** Physical offsets of backward-reference marker words. */
-    std::vector<std::uint64_t> backRefOffsets;
+    /** Physical offsets of raw segments (their kind words). */
+    std::vector<std::uint64_t> rawSegmentOffsets;
+    std::vector<Root> roots;
     /** Physical offsets of non-null reference slot words. */
     std::vector<std::uint64_t> refSlotOffsets;
     /** Physical offsets of compact item tag bytes (one per item). */
@@ -149,10 +164,11 @@ class WireValidator
     void feed(const std::uint8_t *data, std::size_t len);
 
     /**
-     * Settle deferred checks: every collected forward reference must
-     * land on a decoded record start, and no top mark may be left
-     * without its record. Idempotent; feeding may continue afterwards
-     * (the sender validates at every flush).
+     * Settle deferred checks: every collected forward reference and
+     * every root naming a later segment must land on a decoded record
+     * start, and no compact top mark may be left without its record.
+     * Idempotent; feeding may continue afterwards (the sender
+     * validates at every flush).
      */
     void finish();
 
@@ -184,6 +200,21 @@ class WireValidator
                            std::uint64_t phys_off);
 
     /**
+     * Scan one raw segment (header, records, root table) at @p data.
+     * Returns the consumed bytes, 0 on a fatal fault.
+     */
+    std::size_t scanRawSegment(const std::uint8_t *data,
+                               std::size_t remaining,
+                               std::uint64_t phys_off);
+
+    /**
+     * Check a root naming logical address @p target (root slot or
+     * compact root item at @p phys): now when it is decoded, else at
+     * finish().
+     */
+    void checkRootTarget(std::uint64_t target, std::uint64_t phys);
+
+    /**
      * Scan one compact segment (marker + varint payload length +
      * tagged items) at @p data, validating each item against the
      * same invariants the raw scan enforces and accounting records
@@ -206,11 +237,17 @@ class WireValidator
     /** Logical offsets of decoded record starts (ascending). */
     std::vector<std::uint64_t> recordStarts_;
     std::vector<PendingRef> pendingRefs_;
+    /** Roots naming a record not yet decoded (checked at finish). */
+    std::vector<PendingRef> pendingRoots_;
+    /** The lowest address a first-write root may name: records are
+     *  first written once, in ascending order. */
+    std::uint64_t nextFirstWrite_ = 0;
 
     std::uint64_t physical_ = 0;
     std::uint64_t logical_ = 0;
 
-    /** A top mark was scanned and its record has not yet followed. */
+    /** A compact top mark was scanned and its record has not yet
+     *  followed. */
     bool awaitingTopRecord_ = false;
     std::uint64_t awaitingTopOffset_ = 0;
 

@@ -17,6 +17,7 @@
 #define SKYWAY_SKYWAY_BADDR_HH
 
 #include <cstdint>
+#include <cstring>
 
 #include "support/types.hh"
 
@@ -61,42 +62,111 @@ relOf(Word w)
 } // namespace baddr
 
 /**
- * In-buffer marker words (the paper's "top marks" and backward
- * references). Both set the mark word's reserved top bits, which are
- * zero in every real object header (see objectformat.hh), so a
- * receiver scanning the stream at record boundaries can never confuse
- * a marker with an object's mark word. Markers delimit the stream but
- * occupy no logical (relative-address) space.
+ * Segment kind words (docs/WIRE_FORMAT.md). Every flushed segment
+ * starts with one. Both set the mark word's reserved top bits, which
+ * are zero in every real object header (see objectformat.hh), so a
+ * receiver can never confuse a kind word with an object's mark word.
  */
 namespace marker
 {
 
 constexpr Word reserved = 0x3ull << 62;
 
-/** The next record in the stream is a top-level object. */
-constexpr Word topMark = reserved | 0x70AD;
-
 /**
- * A top-level object that was already copied earlier in this phase;
- * one slot word follows (0 = null root, else relative address + 1).
+ * A raw segment follows: the rest of its header (record-region
+ * bytes, root count), the records, then the root table (see rawseg).
  */
-constexpr Word backRef = reserved | 0xBACF;
+constexpr Word rawSeg = reserved | 0x5E6D;
 
 /**
  * A compact-encoded segment follows (docs/WIRE_FORMAT.md): a varint
  * payload length and then tagged compact items, re-expanded to full
- * heap format by the receiver's linear scan. Never appears inside a
- * raw record run — only at a segment boundary.
+ * heap format by the receiver's linear scan.
  */
 constexpr Word compactSeg = reserved | 0xC0DE;
 
-constexpr bool
-isMarker(Word w)
+} // namespace marker
+
+/**
+ * Raw segment layout:
+ *
+ *     [rawSeg][record-region bytes][root count]   24-byte header
+ *     [records ...]                               the logical stream
+ *     [root slot] x root count                    the root table
+ *
+ * Only record bytes take logical (relative-address) space. The root
+ * table holds one slot word per writeObject, in call order: 0 for a
+ * null root, else the root record's relative address + 1, tagged
+ * with firstWrite when this writeObject wrote the record (the paper's
+ * top mark) rather than naming one written earlier in the phase (a
+ * backward reference). A tagged root's record is in this segment or,
+ * when it did not fit, the first record of the next one.
+ */
+namespace rawseg
 {
-    return (w & reserved) == reserved;
+
+constexpr std::size_t headerBytes = 3 * wordSize;
+
+constexpr Word firstWrite = 1ull << 62;
+
+/** The slot word (0 = null, else relative address + 1) of a root. */
+constexpr Word
+slotOf(Word root)
+{
+    return root & ~firstWrite;
 }
 
-} // namespace marker
+constexpr bool
+isFirstWrite(Word root)
+{
+    return (root & firstWrite) != 0;
+}
+
+/** A raw segment's header fields. */
+struct Header
+{
+    std::size_t recordBytes = 0;
+    std::size_t roots = 0;
+
+    /** The whole segment: header, records and root table. */
+    std::size_t
+    bytes() const
+    {
+        return headerBytes + recordBytes + roots * wordSize;
+    }
+};
+
+enum class Parse
+{
+    Ok,
+    /** The first word is not rawSeg. */
+    NotRaw,
+    /** The header, or the lengths it names, run past the bytes. */
+    Truncated,
+};
+
+/** Read the header of the raw segment at @p seg, @p len bytes long. */
+inline Parse
+parseHeader(const std::uint8_t *seg, std::size_t len, Header &h)
+{
+    Word w[3];
+    if (len < wordSize)
+        return Parse::Truncated;
+    std::memcpy(w, seg, wordSize);
+    if (w[0] != marker::rawSeg)
+        return Parse::NotRaw;
+    if (len < headerBytes)
+        return Parse::Truncated;
+    std::memcpy(w, seg, headerBytes);
+    std::size_t room = len - headerBytes;
+    if (w[1] > room || w[2] > (room - w[1]) / wordSize)
+        return Parse::Truncated;
+    h = Header{static_cast<std::size_t>(w[1]),
+               static_cast<std::size_t>(w[2])};
+    return Parse::Ok;
+}
+
+} // namespace rawseg
 } // namespace skyway
 
 #endif // SKYWAY_SKYWAY_BADDR_HH

@@ -86,8 +86,8 @@ InputBuffer::klassForTid(std::int32_t tid)
     if (idx < tidCache_.size() && tidCache_[idx])
         return tidCache_[idx];
     Klass *k = ctx_.resolver().klassForId(tid);
-    panicIf(!k, "InputBuffer: unresolvable type id " +
-                    std::to_string(tid));
+    if (!k)
+        panic("InputBuffer: unresolvable type id " + std::to_string(tid));
     if (idx >= tidCache_.size())
         tidCache_.resize(idx + 1, nullptr);
     tidCache_[idx] = k;
@@ -95,13 +95,28 @@ InputBuffer::klassForTid(std::int32_t tid)
 }
 
 std::size_t
-InputBuffer::recordSize(const std::uint8_t *rec, Klass *k) const
+InputBuffer::sizeRecord(const std::uint8_t *rec, std::size_t avail,
+                        Klass *&k)
 {
-    if (!k->isArray())
-        return k->instanceBytes();
-    Word len;
-    std::memcpy(&len, rec + fmt_.arrayLengthOffset(), wordSize);
-    return k->arrayBytes(static_cast<std::size_t>(len));
+    panicIf(avail < fmt_.headerBytes(),
+            "InputBuffer: record spans a streamed segment");
+    Word tid_word;
+    std::memcpy(&tid_word, rec + offsetKlass, wordSize);
+    k = klassForTid(static_cast<std::int32_t>(tid_word));
+    std::size_t size = k->instanceBytes();
+    if (k->isArray()) {
+        panicIf(avail < fmt_.arrayHeaderBytes(),
+                "InputBuffer: record spans a streamed segment");
+        Word len;
+        std::memcpy(&len, rec + fmt_.arrayLengthOffset(), wordSize);
+        // Bound the length from the wire before the size arithmetic
+        // can wrap.
+        panicIf(len > avail / k->elemSize(),
+                "InputBuffer: record spans a streamed segment");
+        size = k->arrayBytes(static_cast<std::size_t>(len));
+    }
+    panicIf(size > avail, "InputBuffer: record spans a streamed segment");
+    return size;
 }
 
 void
@@ -168,6 +183,18 @@ InputBuffer::commitChunk(std::size_t len)
     commitReserved(len, /*zero_copy=*/true, /*already_validated=*/false);
 }
 
+rawseg::Header
+InputBuffer::rawSegment(const std::uint8_t *seg, std::size_t len)
+{
+    rawseg::Header h;
+    rawseg::Parse p = rawseg::parseHeader(seg, len, h);
+    panicIf(p == rawseg::Parse::NotRaw,
+            "InputBuffer: unknown marker word");
+    panicIf(p == rawseg::Parse::Truncated,
+            "InputBuffer: segment spans past the bytes received");
+    return h;
+}
+
 void
 InputBuffer::commitReserved(std::size_t len, bool zero_copy,
                             bool already_validated)
@@ -184,14 +211,14 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
         // type id would panic deep inside the registry with no
         // context), while the validator names the fault and its
         // stream offset. The validator must also read the bytes
-        // before marker words are overwritten with fillers below.
+        // before the header and root table are overwritten below.
         validator_->feed(reserved_, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
 
-    if (len >= wordSize && wire::isCompactSegment(reserved_, len)) {
+    if (wire::isCompactSegment(reserved_, len)) {
         // The expander writes full-format records through the regular
         // chunk machinery — into the very region this reservation
         // covers — so the compact wire bytes are staged out first and
@@ -209,60 +236,23 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
         return;
     }
 
-    std::size_t off = 0;
-    while (off < len) {
-        std::uint8_t *rec = reserved_ + off;
-        Address pa = reinterpret_cast<Address>(rec);
-        // Marker words delimit top-level objects; they occupy no
-        // logical address space. With the segment already sitting in
-        // chunk storage they are consumed and overwritten in place
-        // with heap filler records, so linear chunk walks skip them.
-        // A real object's mark word can never match: its reserved
-        // bits are always zero.
-        Word first;
-        std::memcpy(&first, rec, wordSize);
-        if (marker::isMarker(first)) {
-            if (first == marker::topMark) {
-                panicIf(off + wordSize > len,
-                        "InputBuffer: truncated marker");
-                // The next record is a top-level object.
-                pendingRoots_.push_back(RootSpec{false, logical_});
-                heap_.writeFillerAny(pa, wordSize);
-                off += wordSize;
-            } else if (first == marker::backRef) {
-                panicIf(off + 2 * wordSize > len,
-                        "InputBuffer: truncated marker");
-                Word slot;
-                std::memcpy(&slot, rec + wordSize, wordSize);
-                pendingRoots_.push_back(RootSpec{true, slot});
-                heap_.writeFillerAny(pa, 2 * wordSize);
-                off += 2 * wordSize;
-            } else {
-                panic("InputBuffer: unknown marker word");
-            }
-            continue;
-        }
-
-        Word tid_word;
-        std::memcpy(&tid_word, rec + offsetKlass, wordSize);
-        Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-        std::size_t size = recordSize(rec, k);
-        panicIf(off + size > len,
-                "InputBuffer: record spans a streamed segment");
-
-        // Extend the open logical run, or start a new one after a
-        // marker or a chunk boundary broke contiguity.
-        if (!runs_.empty() &&
-            runs_.back().base + runs_.back().bytes == pa &&
-            runs_.back().firstLogical + runs_.back().bytes == logical_)
-            runs_.back().bytes += size;
-        else
-            runs_.push_back(Run{logical_, pa, size});
-
-        logical_ += size;
-        off += size;
-        ++stats_.objectsReceived;
-        stats_.bytesReceived += size;
+    std::uint8_t *seg = reserved_;
+    rawseg::Header h = rawSegment(seg, len);
+    panicIf(h.bytes() != len,
+            "InputBuffer: trailing bytes after a raw segment");
+    std::uint8_t *records = seg + rawseg::headerBytes;
+    std::uint8_t *table = records + h.recordBytes;
+    noteRoots(table, h.roots);
+    // The header and root table occupy chunk space but no logical
+    // space: with their words read, they become heap fillers so
+    // linear chunk walks skip them.
+    heap_.writeFillerAny(reinterpret_cast<Address>(seg),
+                         rawseg::headerBytes);
+    heap_.writeFillerAny(reinterpret_cast<Address>(table),
+                         h.roots * wordSize);
+    if (h.recordBytes > 0) {
+        addSpan(records, h.recordBytes);
+        linkRecords(records, h.recordBytes);
     }
 
     chunks_.back().fill += len;
@@ -272,43 +262,111 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
     reservedLen_ = 0;
 }
 
-std::size_t
-InputBuffer::itemSize(const std::uint8_t *data, std::size_t len)
+void
+InputBuffer::noteRoots(const std::uint8_t *table, std::size_t n)
 {
-    Word first;
-    std::memcpy(&first, data, wordSize);
-    if (marker::isMarker(first)) {
-        if (first == marker::topMark)
-            return wordSize;
-        if (first == marker::backRef) {
-            panicIf(len < 2 * wordSize,
-                    "InputBuffer: truncated marker");
-            return 2 * wordSize;
-        }
-        if (first == marker::compactSeg)
-            return 0; // expandSegment's job, not a batchable item
-        panic("InputBuffer: unknown marker word");
+    for (std::size_t i = 0; i < n; ++i) {
+        Word root;
+        std::memcpy(&root, table + i * wordSize, wordSize);
+        pendingRoots_.push_back(rawseg::slotOf(root));
     }
-    Word tid_word;
-    std::memcpy(&tid_word, data + offsetKlass, wordSize);
-    Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-    std::size_t size = recordSize(data, k);
-    panicIf(size > len, "InputBuffer: record spans a streamed segment");
-    return size;
+}
+
+void
+InputBuffer::addSpan(std::uint8_t *base, std::size_t bytes)
+{
+    spans_.push_back(
+        Span{logical_, reinterpret_cast<Address>(base), bytes});
+    logical_ += bytes;
+}
+
+void
+InputBuffer::linkSlot(std::uint8_t *p)
+{
+    Word slot;
+    std::memcpy(&slot, p, wordSize);
+    if (slot == 0)
+        return;
+    std::uint64_t rel = slot - 1;
+    if (rel < logical_) {
+        Address a = resolveRel(rel);
+        std::memcpy(p, &a, wordSize);
+    } else {
+        pendingRefs_.push_back(
+            PendingRef{reinterpret_cast<Address>(p), rel});
+    }
+    ++stats_.refsAbsolutized;
+}
+
+void
+InputBuffer::linkRecords(std::uint8_t *rec, std::size_t bytes)
+{
+    std::size_t off = 0;
+    while (off < bytes) {
+        std::uint8_t *r = rec + off;
+        Klass *k;
+        std::size_t size = sizeRecord(r, bytes - off, k);
+        // Absolutize the type: registry view id -> local klass
+        // pointer.
+        Word klass_word = reinterpret_cast<Word>(k);
+        std::memcpy(r + offsetKlass, &klass_word, wordSize);
+        if (!k->isArray()) {
+            for (std::uint32_t slot : k->refOffsets())
+                linkSlot(r + slot);
+        } else if (k->elemType() == FieldType::Ref) {
+            Word n;
+            std::memcpy(&n, r + fmt_.arrayLengthOffset(), wordSize);
+            std::uint8_t *elems = r + fmt_.arrayHeaderBytes();
+            for (Word i = 0; i < n; ++i)
+                linkSlot(elems + i * wordSize);
+        }
+        off += size;
+        ++stats_.objectsReceived;
+    }
+    stats_.bytesReceived += bytes;
 }
 
 std::size_t
-InputBuffer::scanBatch(const std::uint8_t *data, std::size_t len,
-                       std::size_t limit)
+InputBuffer::recordPrefix(const std::uint8_t *data, std::size_t len,
+                          std::size_t limit)
 {
     std::size_t off = 0;
     while (off < len) {
-        std::size_t size = itemSize(data + off, len - off);
-        if (size == 0 || off + size > limit)
+        Klass *k;
+        std::size_t size = sizeRecord(data + off, len - off, k);
+        if (off > 0 && off + size > limit)
             break;
         off += size;
     }
     return off;
+}
+
+void
+InputBuffer::feedSplit(const std::uint8_t *seg, const rawseg::Header &h)
+{
+    const std::uint8_t *rec = seg + rawseg::headerBytes;
+    noteRoots(rec + h.recordBytes, h.roots);
+    std::size_t left = h.recordBytes;
+    while (left > 0) {
+        std::size_t avail = chunks_.empty()
+                                ? 0
+                                : chunks_.back().cap - chunks_.back().fill;
+        std::size_t piece = recordPrefix(rec, left, avail);
+        if (piece > avail) {
+            // Nothing fits the open chunk: size the piece for a fresh
+            // one (oversized when one record alone exceeds it).
+            piece = recordPrefix(rec, left, chunkBytes_);
+        }
+        std::uint8_t *dst = reserveChunk(piece);
+        std::memcpy(dst, rec, piece);
+        reserved_ = nullptr;
+        reservedLen_ = 0;
+        chunks_.back().fill += piece;
+        addSpan(dst, piece);
+        linkRecords(dst, piece);
+        rec += piece;
+        left -= piece;
+    }
 }
 
 void
@@ -318,47 +376,37 @@ InputBuffer::feed(const std::uint8_t *data, std::size_t len)
     panicIf(finalized_, "InputBuffer: feed after finalize");
     if (validator_) {
         validator_->feed(data, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
-    // Compatibility path for byte-owning callers: split the segment
-    // at item boundaries into batches that pack into regular-size
-    // chunks (one memcpy per batch), then run the shared in-place
-    // commit. The zero-copy path (reserveChunk/commitChunk) skips
-    // this copy entirely.
+    // Compatibility path for byte-owning callers: every segment is
+    // self-delimiting, so each is copied whole into a reservation
+    // (one memcpy) and committed in place like a zero-copy receive.
+    // Only a raw segment larger than a chunk is split. The zero-copy
+    // path (reserveChunk/commitChunk) skips this copy entirely.
     std::size_t off = 0;
     while (off < len) {
-        Word lead;
-        if (len - off >= wordSize) {
-            std::memcpy(&lead, data + off, wordSize);
-            if (lead == marker::compactSeg) {
-                // Byte-owning caller: no aliasing with chunk storage,
-                // expand straight from the caller's buffer. A file
-                // stream may concatenate further segments after it.
-                off += expandSegment(data + off, len - off);
-                continue;
-            }
+        const std::uint8_t *seg = data + off;
+        if (wire::isCompactSegment(seg, len - off)) {
+            // Byte-owning caller: no aliasing with chunk storage,
+            // expand straight from the caller's buffer. A file stream
+            // may concatenate further segments after it.
+            off += expandSegment(seg, len - off);
+            continue;
         }
+        rawseg::Header h = rawSegment(seg, len - off);
         std::size_t avail = chunks_.empty()
-                                ? chunkBytes_
-                                : chunks_.back().cap -
-                                      chunks_.back().fill;
-        std::size_t batch = scanBatch(data + off, len - off, avail);
-        if (batch == 0) {
-            // Nothing fits the current chunk; size the batch for a
-            // fresh chunk (oversized when one record alone exceeds
-            // the regular chunk size).
-            std::size_t first = itemSize(data + off, len - off);
-            batch = (first >= chunkBytes_)
-                        ? first
-                        : scanBatch(data + off, len - off, chunkBytes_);
+                                ? 0
+                                : chunks_.back().cap - chunks_.back().fill;
+        if (h.bytes() <= std::max(avail, chunkBytes_)) {
+            std::memcpy(reserveChunk(h.bytes()), seg, h.bytes());
+            commitReserved(h.bytes(), /*zero_copy=*/false,
+                           /*already_validated=*/true);
+        } else {
+            feedSplit(seg, h);
         }
-        std::uint8_t *dst = reserveChunk(batch);
-        std::memcpy(dst, data + off, batch);
-        commitReserved(batch, /*zero_copy=*/false,
-                       /*already_validated=*/true);
-        off += batch;
+        off += h.bytes();
     }
 }
 
@@ -367,40 +415,39 @@ InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
 {
     SKYWAY_SPAN("receiver.expand");
     Stopwatch sw;
+    std::size_t first_span = spans_.size();
     wire::ExpandHooks hooks;
     hooks.klassFor = [this](std::int32_t tid) {
         return klassForTid(tid);
     };
     hooks.onMarker = [this](bool is_back_ref, Word slot) {
-        // Same bookkeeping the raw parser does for marker words,
-        // minus the filler: compact markers never occupied chunk
-        // space in the first place.
-        if (is_back_ref)
-            pendingRoots_.push_back(RootSpec{true, slot});
-        else
-            pendingRoots_.push_back(RootSpec{false, logical_});
+        // A top mark names the record placed next.
+        pendingRoots_.push_back(is_back_ref ? slot : logical_ + 1);
     };
-    hooks.place = [this](std::size_t size) -> std::uint8_t * {
+    hooks.place = [this, first_span](std::size_t size) -> std::uint8_t * {
         if (chunks_.empty() ||
             chunks_.back().fill + size > chunks_.back().cap)
             newChunk(size);
         Chunk &c = chunks_.back();
         Address pa = c.base + c.fill;
-        if (!runs_.empty() &&
-            runs_.back().base + runs_.back().bytes == pa &&
-            runs_.back().firstLogical + runs_.back().bytes == logical_)
-            runs_.back().bytes += size;
+        // One span per piece of this segment: a new chunk starts one.
+        if (spans_.size() > first_span &&
+            spans_.back().base + spans_.back().bytes == pa)
+            spans_.back().bytes += size;
         else
-            runs_.push_back(Run{logical_, pa, size});
+            spans_.push_back(Span{logical_, pa, size});
         c.fill += size;
         logical_ += size;
-        ++stats_.objectsReceived;
-        stats_.bytesReceived += size;
         stats_.expandedBytes += size;
         return reinterpret_cast<std::uint8_t *>(pa);
     };
     std::size_t used =
         wire::expandCompactSegment(data, len, fmt_, hooks);
+    // Every record of the segment is placed: link them, so only
+    // references into later segments wait for finalize().
+    for (std::size_t i = first_span; i < spans_.size(); ++i)
+        linkRecords(reinterpret_cast<std::uint8_t *>(spans_[i].base),
+                    spans_[i].bytes);
     stats_.expandNs += sw.elapsedNs();
     return used;
 }
@@ -408,90 +455,69 @@ InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
 Address
 InputBuffer::resolveRel(std::uint64_t rel) const
 {
-    // Find the logical run covering rel: runs are in ascending
-    // firstLogical order.
-    auto it = std::upper_bound(runs_.begin(), runs_.end(), rel,
-                               [](std::uint64_t r, const Run &run) {
-                                   return r < run.firstLogical;
-                               });
-    panicIf(it == runs_.begin(), "InputBuffer: bad relative address");
-    --it;
-    std::uint64_t off = rel - it->firstLogical;
-    panicIf(off >= it->bytes,
-            "InputBuffer: relative address outside any run");
-    return it->base + off;
+    panicIf(rel >= logical_, "InputBuffer: bad relative address");
+    // Spans tile [0, logical_) in order, and most references name the
+    // segment being linked: try the last span before searching.
+    const Span *s = &spans_.back();
+    if (rel < s->firstLogical) {
+        auto it = std::upper_bound(spans_.begin(), spans_.end(), rel,
+                                   [](std::uint64_t r, const Span &sp) {
+                                       return r < sp.firstLogical;
+                                   });
+        s = &*(it - 1);
+    }
+    return s->base + (rel - s->firstLogical);
 }
 
 void
-InputBuffer::absolutizeChunk(Chunk &c)
+InputBuffer::applyFieldUpdates()
 {
-    Address a = c.base;
-    Address end = c.base + c.fill;
-    bool have_updates = !ctx_.updates().empty();
-
-    while (a < end) {
-        // Consumed markers were overwritten with fillers at commit.
-        if (ManagedHeap::isFiller(a)) {
-            a += ManagedHeap::fillerSize(a);
-            continue;
-        }
-        Word tid_word = heap_.loadWord(a, offsetKlass);
-        Klass *k = klassForTid(static_cast<std::int32_t>(tid_word));
-        // Absolutize the type: registry view id -> local klass
-        // pointer.
-        heap_.storeWord(a, offsetKlass, reinterpret_cast<Word>(k));
-        std::size_t size = heap_.objectSize(a);
-
-        // Absolutize every reference slot: relative address a' maps
-        // to run_base + (a' - run_first_logical).
-        forEachRefSlot(heap_, a, [&](std::size_t off) {
-            Word slot = heap_.loadWord(a, off);
-            if (slot == 0)
-                return;
-            heap_.storeWord(a, off,
-                            static_cast<Word>(resolveRel(slot - 1)));
-            ++stats_.refsAbsolutized;
-        });
-
-        if (have_updates) {
-            ctx_.updates().apply(heap_, k, a);
+    for (const Chunk &c : chunks_) {
+        Address a = c.base;
+        Address end = c.base + c.fill;
+        while (a < end) {
+            if (ManagedHeap::isFiller(a)) {
+                a += ManagedHeap::fillerSize(a);
+                continue;
+            }
+            ctx_.updates().apply(heap_, heap_.klassOf(a), a);
             ++stats_.fieldUpdatesApplied;
+            a += heap_.objectSize(a);
         }
-        a += size;
     }
 }
 
 void
 InputBuffer::finalize()
 {
-    // The absolutization scan is the receiver's only O(bytes) CPU
-    // cost (paper section 4.3); its time is the span to watch.
     SKYWAY_SPAN("receiver.absolutize");
     panicIf(finalized_, "InputBuffer: finalize called twice");
     panicIf(reserved_ != nullptr,
             "InputBuffer: finalize with an open chunk reservation");
     if (validator_) {
         // Reject a corrupt stream *before* absolutization writes
-        // anything into the heap.
+        // anything more into the heap.
         validator_->finish();
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
-    for (Chunk &c : chunks_)
-        absolutizeChunk(c);
+    // The commits absolutized every reference whose target had
+    // arrived; what remains pointed into a later segment.
+    for (const PendingRef &p : pendingRefs_) {
+        Address a = resolveRel(p.rel);
+        std::memcpy(reinterpret_cast<void *>(p.slot), &a, wordSize);
+    }
+    pendingRefs_.clear();
 
     // Resolve the roots noted while streaming, in write order.
     roots_.reserve(pendingRoots_.size());
-    for (const RootSpec &spec : pendingRoots_) {
-        if (!spec.isBackRef)
-            roots_.push_back(resolveRel(spec.value));
-        else if (spec.value == 0)
-            roots_.push_back(nullAddr);
-        else
-            roots_.push_back(resolveRel(spec.value - 1));
-    }
+    for (Word slot : pendingRoots_)
+        roots_.push_back(slot == 0 ? nullAddr : resolveRel(slot - 1));
     pendingRoots_.clear();
+
+    if (!ctx_.updates().empty())
+        applyFieldUpdates();
 
     for (Chunk &c : chunks_) {
         // Make the unreached tail walkable, tell the card table about
@@ -522,9 +548,9 @@ InputBuffer::auditRebuilt() const
             }
             starts.insert(a);
             std::size_t size = heap_.objectSize(a);
-            panicIf(size == 0 || a + size > end,
-                    "SkywaySan: rebuilt object at " +
-                        std::to_string(a) + " overruns its chunk");
+            if (size == 0 || a + size > end)
+                panic("SkywaySan: rebuilt object at " + std::to_string(a) +
+                      " overruns its chunk");
             a += size;
         }
     }
@@ -537,21 +563,19 @@ InputBuffer::auditRebuilt() const
                 continue;
             }
             Word m = heap_.markOf(a);
-            panicIf((m & ~(mark::hashMask | mark::hashComputedBit)) != 0,
-                    "SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
-                        " carries non-transfer mark bits");
+            if ((m & ~(mark::hashMask | mark::hashComputedBit)) != 0)
+                panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
+                      " carries non-transfer mark bits");
             forEachRefSlot(heap_, a, [&](std::size_t off) {
                 Address t = heap_.loadRef(a, off);
                 // A reference either stays inside this buffer's
                 // rebuilt closure or was installed by a registered
                 // field update, which may point anywhere in the local
                 // heap.
-                panicIf(t != nullAddr && !starts.count(t) &&
-                            !heap_.contains(t),
-                        "SkywaySan: rebuilt " +
-                            heap_.klassOf(a)->name() +
-                            " references outside the input buffer "
-                            "and the heap");
+                if (t != nullAddr && !starts.count(t) && !heap_.contains(t))
+                    panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
+                          " references outside the input buffer "
+                          "and the heap");
             });
             a += heap_.objectSize(a);
         }

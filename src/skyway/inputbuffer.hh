@@ -12,25 +12,27 @@
  * Ingest is zero-copy: the transport calls reserveChunk(len) to get a
  * pointer directly into old-gen chunk storage, writes the streamed
  * segment there (a socket receive, a modeled NIC DMA, a disk read),
- * and calls commitChunk(len). The commit parses the records *in
- * place*: marker words (top marks, backward references) are consumed
- * and overwritten with heap filler records — they occupy physical
- * chunk space but no logical (relative-address) space — and every
- * maximal marker-free stretch of records becomes one logical *run* in
- * the relative→absolute translation table. The legacy feed() entry
- * point remains as the compatibility path for byte-owning callers
- * (framed serializer streams, in-memory tests): it copies each
- * segment once into the reservation, packing records into chunks at
- * record granularity exactly as before.
+ * and calls commitChunk(len). The commit is the receiver's single
+ * linear pass (paper section 4.3), run *in place*: the segment header
+ * and root table (skyway/baddr.hh, rawseg) are read and overwritten
+ * with heap fillers, and the record region — contiguous in both
+ * logical (relative-address) and physical space — becomes one entry of
+ * the span table. The parse that sizes each record also installs its
+ * klass pointer and absolutizes every reference whose target has
+ * arrived: span base + (relative - span start). References into later
+ * segments wait on a pending list. The legacy feed() entry point
+ * remains as the compatibility path for byte-owning callers (framed
+ * serializer streams, files, in-memory tests): it copies each
+ * self-delimiting segment whole into the reservation, splitting only
+ * a segment larger than a chunk, at record boundaries.
  *
- * While streaming, chunks are pinned *opaque* (klass words still hold
- * type IDs, references are still relative), so the GC neither walks
- * nor frees them. finalize() runs the single linear absolutization
- * pass: klass IDs become klass pointers via the registry view,
- * relative references become absolute addresses via the run
- * translation, registered field updates are applied, the card table
- * is updated for the new pointers, and the chunks become pinned
- * *walkable* — live until the developer frees the buffer.
+ * While streaming, chunks are pinned *opaque* (records may still hold
+ * relative references), so the GC neither walks nor frees them.
+ * finalize() resolves the pending references and the roots, applies
+ * registered field updates (the only reason it walks chunks again),
+ * covers chunk tails with fillers, updates the card table for the new
+ * pointers, and pins the chunks *walkable* — live until the developer
+ * frees the buffer.
  */
 
 #ifndef SKYWAY_SKYWAY_INPUTBUFFER_HH
@@ -41,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "skyway/baddr.hh"
 #include "skyway/context.hh"
 
 namespace skyway
@@ -111,25 +114,25 @@ class InputBuffer
 
     /**
      * Zero-copy ingest, step 2: the transport wrote @p len bytes
-     * (<= the reserved length) of whole records into the reservation;
-     * validate and parse them in place. Counted in
+     * (<= the reserved length), one whole segment, into the
+     * reservation; validate and parse them in place. Counted in
      * `skyway.receiver.zero_copy_bytes`.
      */
     void commitChunk(std::size_t len);
 
     /**
-     * Compatibility ingest for byte-owning callers: copies the
-     * streamed segment once into chunk reservations, splitting at
-     * record boundaries so records pack into regular-size chunks.
-     * Segments contain whole records (the sender never splits a
-     * record across flushes).
+     * Compatibility ingest for byte-owning callers: copies each
+     * segment of @p data (one, or several concatenated, as in a file)
+     * once into a chunk reservation; a segment larger than a chunk is
+     * split at record boundaries. Segments contain whole records (the
+     * sender never splits a record across flushes).
      */
     void feed(const std::uint8_t *data, std::size_t len);
 
     /**
-     * The single linear absolutization pass; call once streaming has
-     * finished. Computation on the buffer must block until this
-     * completes.
+     * End of stream: resolve what the commits left pending and make
+     * the chunks walkable. Computation on the buffer must block until
+     * this completes.
      */
     void finalize();
 
@@ -137,8 +140,8 @@ class InputBuffer
 
     /**
      * The top-level objects, in the order the sender wrote them
-     * (recovered from top marks and backward references — no receiver
-     * graph traversal).
+     * (recovered from the segments' root tables — no receiver graph
+     * traversal).
      */
     const std::vector<Address> &roots() const;
 
@@ -159,16 +162,23 @@ class InputBuffer
     };
 
     /**
-     * One maximal stretch of records that is contiguous in both
-     * logical (relative-address) and physical (chunk) space. Markers
-     * and chunk boundaries end a run; the runs are the receiver's
+     * One received segment's record region — or one piece of a
+     * segment split across chunks — contiguous in both logical and
+     * physical space. Spans tile [0, logical_) in order and form the
      * relative→absolute translation table.
      */
-    struct Run
+    struct Span
     {
         std::uint64_t firstLogical;
         Address base;
         std::size_t bytes;
+    };
+
+    /** A reference slot whose target had not arrived at commit. */
+    struct PendingRef
+    {
+        Address slot;
+        std::uint64_t rel;
     };
 
     /** Resolve a klass from a wire type id (cached). */
@@ -177,46 +187,72 @@ class InputBuffer
     /** Translate a relative address to its absolute heap address. */
     Address resolveRel(std::uint64_t rel) const;
 
-    /** Size of the record whose bytes start at @p rec (local format). */
-    std::size_t recordSize(const std::uint8_t *rec, Klass *k) const;
+    /**
+     * Size of the record at @p rec (local format), setting @p k to its
+     * klass; panics unless the record fits in @p avail bytes.
+     */
+    std::size_t sizeRecord(const std::uint8_t *rec, std::size_t avail,
+                           Klass *&k);
 
     void newChunk(std::size_t at_least);
 
     /**
+     * Parse the raw segment header at @p seg; panics unless it names
+     * a raw segment whose lengths fit in @p len bytes.
+     */
+    static rawseg::Header rawSegment(const std::uint8_t *seg,
+                                     std::size_t len);
+
+    /**
      * Shared commit: validate (unless the caller already did), then
-     * parse the @p len committed bytes of the open reservation in
-     * place — markers become fillers and root specs, records extend
-     * or open logical runs.
+     * parse the @p len committed bytes of the open reservation — one
+     * whole segment — in place.
      */
     void commitReserved(std::size_t len, bool zero_copy,
                         bool already_validated);
 
-    /**
-     * Byte length of the longest prefix of whole items (markers or
-     * records) of @p data that fits in @p limit bytes. Returns 0 when
-     * the first item alone does not fit.
-     */
-    std::size_t scanBatch(const std::uint8_t *data, std::size_t len,
-                          std::size_t limit);
+    /** Queue the @p n root slots of the table at @p table. */
+    void noteRoots(const std::uint8_t *table, std::size_t n);
+
+    /** Append the span for @p bytes of records at @p base. */
+    void addSpan(std::uint8_t *base, std::size_t bytes);
 
     /**
-     * Size of the single item (marker or record) at @p data; 0 when
-     * the item is a compact-segment marker (the caller must hand the
-     * stream to expandSegment instead of batching further).
+     * The linear pass over @p bytes of records at @p rec (already
+     * covered by spans): size each record, install its klass pointer,
+     * and absolutize each reference — now when its target has
+     * arrived, else at finalize.
      */
-    std::size_t itemSize(const std::uint8_t *data, std::size_t len);
+    void linkRecords(std::uint8_t *rec, std::size_t bytes);
+
+    /** Absolutize the slot at @p p, or queue it (see linkRecords). */
+    void linkSlot(std::uint8_t *p);
+
+    /**
+     * feed() of a raw segment larger than a chunk: copy its records
+     * in record-boundary pieces that pack into chunks.
+     */
+    void feedSplit(const std::uint8_t *seg, const rawseg::Header &h);
+
+    /**
+     * Byte length of the longest prefix of whole records of @p data
+     * that fits in @p limit bytes, but at least the first record.
+     */
+    std::size_t recordPrefix(const std::uint8_t *data, std::size_t len,
+                             std::size_t limit);
 
     /**
      * Re-expand the compact segment at @p data (marker + varint
-     * length + items) into full heap-format records placed through
-     * the regular chunk/run machinery; returns the consumed wire
-     * bytes. The caller owns @p data — it must not alias chunk
-     * storage (the commit path stages the bytes out first).
+     * length + items) into full heap-format records placed in chunks,
+     * then link them; returns the consumed wire bytes. The caller owns
+     * @p data — it must not alias chunk storage (the commit path
+     * stages the bytes out first).
      */
     std::size_t expandSegment(const std::uint8_t *data,
                               std::size_t len);
 
-    void absolutizeChunk(Chunk &c);
+    /** finalize()'s chunk walk, run only when field updates exist. */
+    void applyFieldUpdates();
 
     /**
      * SkywaySan post-finalize structural audit
@@ -242,8 +278,9 @@ class InputBuffer
     ObjectFormat fmt_;
 
     std::vector<Chunk> chunks_;
-    /** Logical runs in ascending firstLogical order. */
-    std::vector<Run> runs_;
+    /** Spans in ascending firstLogical order. */
+    std::vector<Span> spans_;
+    std::vector<PendingRef> pendingRefs_;
     std::uint64_t logical_ = 0;
     bool finalized_ = false;
     bool freed_ = false;
@@ -253,17 +290,10 @@ class InputBuffer
     std::size_t reservedLen_ = 0;
 
     /**
-     * Roots noted while streaming, resolved to addresses at
-     * finalize(): a top mark names the logical offset of the record
-     * that follows it; a backward reference carries an encoded slot
-     * (0 = null).
+     * Root slot words (0 = null, else relative address + 1) in write
+     * order, resolved to addresses at finalize().
      */
-    struct RootSpec
-    {
-        bool isBackRef;
-        std::uint64_t value;
-    };
-    std::vector<RootSpec> pendingRoots_;
+    std::vector<Word> pendingRoots_;
 
     std::vector<Address> roots_;
     /** Staging for compact wire bytes whose expansion overwrites the

@@ -7,19 +7,25 @@
  * does not fit, and `flushedBytes` tracks how much logical address
  * space has already left the buffer (Algorithm 2, line 10).
  *
- * Records never span a flush boundary, so every flushed segment is a
- * whole number of object records; the receiver relies on this when
- * placing records into heap chunks.
+ * Each flush emits one raw segment (skyway/baddr.hh, rawseg): a
+ * 24-byte header, the records, and the root table of the writeObject
+ * calls made while the segment was open. Roots are collected aside
+ * and appended at flush, so records are contiguous in both logical
+ * and physical space. Records never span a flush boundary, so every
+ * segment holds a whole number of object records; the receiver relies
+ * on this when placing records into heap chunks.
  */
 
 #ifndef SKYWAY_SKYWAY_OUTPUTBUFFER_HH
 #define SKYWAY_SKYWAY_OUTPUTBUFFER_HH
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <vector>
 
+#include "skyway/baddr.hh"
 #include "support/logging.hh"
 #include "support/types.hh"
 
@@ -62,71 +68,102 @@ class OutputBuffer
 
     /**
      * Return a pointer to physical space for the record at logical
-     * address @p addr of @p bytes. Writes must be sequential (clone
-     * order equals claim order under the BFS); flushes as needed.
+     * address @p addr of @p bytes: addr - flushedBytes past the
+     * segment header. Writes must be sequential (clone order equals
+     * claim order under the BFS); flushes first when the record does
+     * not fit.
      */
     std::uint8_t *
     writeAt(std::uint64_t addr, std::size_t bytes)
     {
-        panicIf(addr != logicalWritten_,
+        panicIf(addr != written_,
                 "OutputBuffer: non-sequential record write");
-        logicalWritten_ += bytes;
-        return reserve(bytes);
+        makeRoom(bytes, 0);
+        std::uint8_t *p = buf_.get() + rawseg::headerBytes +
+                          (addr - flushed_);
+        written_ += bytes;
+        return p;
     }
 
     /**
-     * Append marker words to the physical stream *without* consuming
-     * logical address space: the receiver strips markers before
-     * placing records, so relative addresses ignore them (the
-     * paper's top marks are delimiters, not objects).
+     * Add one writeObject's slot word (rawseg) to the open segment's
+     * root table. Roots take no logical space.
      */
     void
-    writeMarker(const Word *words, std::size_t n)
+    addRoot(Word root)
     {
-        std::uint8_t *p = reserve(n * wordSize);
-        std::memcpy(p, words, n * wordSize);
+        makeRoom(0, 1);
+        roots_.push_back(root);
     }
 
-    /** Force out whatever the buffer holds. */
+    /** Force out whatever the buffer holds as one raw segment. */
     void
     flushNow()
     {
-        if (used_ == 0)
+        std::size_t records = written_ - flushed_;
+        if (records == 0 && roots_.empty())
             return;
-        flush_(buf_.get(), used_);
-        flushed_ += used_;
-        used_ = 0;
+        Word header[3] = {marker::rawSeg, records, roots_.size()};
+        std::memcpy(buf_.get(), header, rawseg::headerBytes);
+        if (!roots_.empty())
+            std::memcpy(buf_.get() + rawseg::headerBytes + records,
+                        roots_.data(), roots_.size() * wordSize);
+        std::size_t len = segmentBytes();
+        flush_(buf_.get(), len);
+        wire_ += len;
+        flushed_ = written_;
+        roots_.clear();
     }
 
-    /** Total logical bytes produced so far (streamed + resident). */
-    std::uint64_t totalBytes() const { return flushed_ + used_; }
+    /** Wire bytes produced so far (flushed + the open segment). */
+    std::uint64_t
+    totalBytes() const
+    {
+        bool open = written_ != flushed_ || !roots_.empty();
+        return wire_ + (open ? segmentBytes() : 0);
+    }
 
   private:
-    /** Whole-unit physical append (flushing first when full). */
-    std::uint8_t *
-    reserve(std::size_t bytes)
+    /** Length of the open segment if it were flushed now. */
+    std::size_t
+    segmentBytes() const
     {
-        if (used_ + bytes > cap_) {
+        return rawseg::headerBytes + (written_ - flushed_) +
+               roots_.size() * wordSize;
+    }
+
+    /**
+     * Make the open segment able to take @p bytes more record bytes
+     * and @p roots more root slots: flush it when it holds records
+     * and is full, and grow the (native) buffer for an oversized
+     * record.
+     */
+    void
+    makeRoom(std::size_t bytes, std::size_t roots)
+    {
+        std::size_t extra = bytes + roots * wordSize;
+        if (segmentBytes() + extra <= cap_)
+            return;
+        if (written_ != flushed_)
             flushNow();
-            if (bytes > cap_) {
-                // Oversized record: grow the (native) buffer.
-                buf_ = std::make_unique_for_overwrite<
-                    std::uint8_t[]>(bytes);
-                cap_ = bytes;
-            }
+        std::size_t need = segmentBytes() + extra;
+        if (need > cap_) {
+            buf_ = std::make_unique_for_overwrite<std::uint8_t[]>(need);
+            cap_ = need;
         }
-        std::uint8_t *p = buf_.get() + used_;
-        used_ += bytes;
-        return p;
     }
 
     std::unique_ptr<std::uint8_t[]> buf_;
     std::size_t cap_;
     FlushFn flush_;
     std::uint64_t allocable_ = 0;
+    /** Logical bytes flushed / written (flushed + the open segment). */
     std::uint64_t flushed_ = 0;
-    std::uint64_t logicalWritten_ = 0;
-    std::size_t used_ = 0;
+    std::uint64_t written_ = 0;
+    /** Wire bytes of the flushed segments. */
+    std::uint64_t wire_ = 0;
+    /** Root table of the open segment. */
+    std::vector<Word> roots_;
 };
 
 } // namespace skyway

@@ -159,22 +159,6 @@ SkywaySender::relForChild(Address o)
 }
 
 void
-SkywaySender::emitTopMark()
-{
-    Word w = marker::topMark;
-    ob_.writeMarker(&w, 1);
-    ++stats_.topMarks;
-}
-
-void
-SkywaySender::emitBackRef(Word slot_value)
-{
-    Word words[2] = {marker::backRef, slot_value};
-    ob_.writeMarker(words, 2);
-    ++stats_.backRefs;
-}
-
-void
 SkywaySender::writeRecord(Address s, std::uint64_t addr)
 {
     Klass *k = heap_.klassOf(s);
@@ -300,8 +284,12 @@ SkywaySender::writeObject(Address root)
             "SkywaySender: call shuffleStart() before the first "
             "transfer of a phase");
 
+    // Every call adds one slot to the segment's root table, so the
+    // receiver recovers the roots in write order without a graph
+    // traversal.
     if (root == nullAddr) {
-        emitBackRef(0);
+        ob_.addRoot(0);
+        ++stats_.backRefs;
         return;
     }
 
@@ -309,12 +297,15 @@ SkywaySender::writeObject(Address root)
     if (lookupVisited(root, rel)) {
         // Already copied in this phase: a backward reference to its
         // location in the buffer (Algorithm 2 lines 29-30).
-        emitBackRef(encodeSlot(rel));
+        ob_.addRoot(encodeSlot(rel));
+        ++stats_.backRefs;
         return;
     }
 
-    emitTopMark();
-    relForChild(root);
+    // First write in this stream: the tagged root slot plays the
+    // paper's top mark.
+    ob_.addRoot(encodeSlot(relForChild(root)) | rawseg::firstWrite);
+    ++stats_.topMarks;
     drain();
 }
 

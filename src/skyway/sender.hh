@@ -5,8 +5,9 @@
  * buffer, rewrites the clone's klass word to the global type ID,
  * resets the machine-specific mark bits (preserving the cached
  * hashcode), and relativizes every reference to the target's position
- * in the buffer. Top marks and backward references delimit top-level
- * objects so the receiver can find roots without a graph traversal.
+ * in the buffer. Each writeObject adds one slot to the flushed
+ * segment's root table (a first-write root or a backward reference),
+ * so the receiver finds roots without a graph traversal.
  *
  * Thread support follows the paper: the baddr word carries the
  * claiming stream's id; claims are installed with CAS, and a stream
@@ -39,7 +40,9 @@ struct SkywaySendStats
 {
     std::uint64_t objectsCopied = 0;
     std::uint64_t bytesCopied = 0;
+    /** Roots whose record this stream wrote (tagged root slots). */
     std::uint64_t topMarks = 0;
+    /** Null roots and roots naming a record written earlier. */
     std::uint64_t backRefs = 0;
     std::uint64_t hashFallbacks = 0;
     std::uint64_t casRetries = 0;
@@ -113,8 +116,6 @@ class SkywaySender
     /** Clone the record for @p s at logical address @p addr. */
     void writeRecord(Address s, std::uint64_t addr);
 
-    void emitTopMark();
-    void emitBackRef(Word slot_value);
     void drain();
 
     /** Object size in the receiver's format. */

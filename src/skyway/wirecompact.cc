@@ -397,8 +397,8 @@ CompactEncoder::klassFor(std::int32_t tid)
     if (it != klassMemo_.end())
         return it->second;
     Klass *k = ctx_.resolver().klassForId(tid);
-    panicIf(!k, "CompactEncoder: unresolvable type id " +
-                    std::to_string(tid));
+    if (!k)
+        panic("CompactEncoder: unresolvable type id " + std::to_string(tid));
     klassMemo_[tid] = k;
     return k;
 }
@@ -429,26 +429,29 @@ CompactEncoder::decisionFor(std::int32_t tid, const Klass *k)
     return d;
 }
 
+CompactEncoder::RawParts
+CompactEncoder::rawParts(const std::uint8_t *data, std::size_t len)
+{
+    rawseg::Header h;
+    panicIf(rawseg::parseHeader(data, len, h) != rawseg::Parse::Ok ||
+                h.bytes() != len,
+            "CompactEncoder: not one raw segment");
+    const std::uint8_t *rec = data + rawseg::headerBytes;
+    return RawParts{rec, h.recordBytes, rec + h.recordBytes, h.roots};
+}
+
 bool
-CompactEncoder::anyCompactClass(const std::uint8_t *data,
+CompactEncoder::anyCompactClass(const std::uint8_t *records,
                                 std::size_t len)
 {
     std::size_t off = 0;
     while (off < len) {
-        Word first = wordAt(data + off);
-        if (marker::isMarker(first)) {
-            panicIf(first != marker::topMark &&
-                        first != marker::backRef,
-                    "CompactEncoder: unknown marker word");
-            off += first == marker::topMark ? wordSize : 2 * wordSize;
-            continue;
-        }
         auto tid = static_cast<std::int32_t>(
-            wordAt(data + off + offsetKlass));
+            wordAt(records + off + offsetKlass));
         Klass *k = klassFor(tid);
         if (decisionFor(tid, k) == 1)
             return true;
-        off += rawRecordSize(data + off, k, wireFmt_);
+        off += rawRecordSize(records + off, k, wireFmt_);
     }
     return false;
 }
@@ -523,35 +526,55 @@ CompactEncoder::appendRecord(const std::uint8_t *rec, std::size_t size,
 }
 
 void
-CompactEncoder::buildCompact(const std::uint8_t *data, std::size_t len)
+CompactEncoder::appendRoot(Word root, bool record_follows)
 {
-    enc_.clear();
-    std::size_t off = 0;
-    while (off < len) {
-        Word first = wordAt(data + off);
-        if (marker::isMarker(first)) {
-            if (first == marker::topMark) {
-                enc_.push_back(wire::ctTopMark);
-                off += wordSize;
-            } else if (first == marker::backRef) {
-                enc_.push_back(wire::ctBackRef);
-                wire::putVarU64(enc_, wordAt(data + off + wordSize));
-                off += 2 * wordSize;
-            } else {
-                panic("CompactEncoder: unknown marker word");
-            }
-            continue;
-        }
-        auto tid = static_cast<std::int32_t>(
-            wordAt(data + off + offsetKlass));
-        Klass *k = klassFor(tid);
-        std::size_t size = rawRecordSize(data + off, k, wireFmt_);
-        panicIf(off + size > len,
-                "CompactEncoder: record spans a flushed segment");
-        appendRecord(data + off, size, tid, k,
-                     decisionFor(tid, k) == 1);
-        off += size;
+    if (record_follows && rawseg::isFirstWrite(root)) {
+        enc_.push_back(wire::ctTopMark);
+    } else {
+        enc_.push_back(wire::ctBackRef);
+        wire::putVarU64(enc_, rawseg::slotOf(root));
     }
+}
+
+void
+CompactEncoder::buildCompact(const RawParts &seg)
+{
+    // A first-write root becomes a ctTopMark right before its record.
+    // A backward reference or null root goes right before the next
+    // first-write root's record: its writeObject ran once every
+    // earlier record was written. Roots left when the records run out
+    // — among them a first-write root whose record spilled into the
+    // next segment — close the segment as ctBackRef items.
+    emitAt_.resize(seg.roots);
+    std::uint64_t next = ~std::uint64_t{0};
+    for (std::size_t i = seg.roots; i-- > 0;) {
+        Word root = wordAt(seg.table + i * wordSize);
+        if (rawseg::isFirstWrite(root))
+            next = rawseg::slotOf(root) - 1;
+        emitAt_[i] = next;
+    }
+
+    enc_.clear();
+    std::size_t r = 0;
+    std::uint64_t at = logical_;
+    std::size_t off = 0;
+    while (off < seg.recordBytes) {
+        for (; r < seg.roots && emitAt_[r] <= at; ++r) {
+            Word root = wordAt(seg.table + r * wordSize);
+            appendRoot(root, rawseg::slotOf(root) - 1 == at);
+        }
+        const std::uint8_t *rec = seg.records + off;
+        auto tid = static_cast<std::int32_t>(wordAt(rec + offsetKlass));
+        Klass *k = klassFor(tid);
+        std::size_t size = rawRecordSize(rec, k, wireFmt_);
+        panicIf(size > seg.recordBytes - off,
+                "CompactEncoder: record spans a flushed segment");
+        appendRecord(rec, size, tid, k, decisionFor(tid, k) == 1);
+        off += size;
+        at += size;
+    }
+    for (; r < seg.roots; ++r)
+        appendRoot(wordAt(seg.table + r * wordSize), false);
 }
 
 void
@@ -584,15 +607,19 @@ CompactEncoder::encodeSegment(const std::uint8_t *data, std::size_t len,
 {
     if (len == 0)
         return;
+    RawParts seg = rawParts(data, len);
     // Pass 1 (Auto): a segment with no compact-decided class travels
     // verbatim — no rewrite, no extra copy.
-    if (mode_ != WireCompactMode::Force && !anyCompactClass(data, len)) {
+    if (mode_ != WireCompactMode::Force &&
+        !anyCompactClass(seg.records, seg.recordBytes)) {
         sink(data, len);
+        logical_ += seg.recordBytes;
         syncMeasured();
         return;
     }
     // Pass 2: build the compact stream.
-    buildCompact(data, len);
+    buildCompact(seg);
+    logical_ += seg.recordBytes;
     std::size_t total =
         wordSize + wire::varLen(enc_.size()) + enc_.size();
     if (mode_ != WireCompactMode::Force && total >= len) {

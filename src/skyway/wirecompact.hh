@@ -19,8 +19,8 @@
  *
  *   [8B marker::compactSeg][varint payloadLen][payload = items...]
  *
- *   item := 0x01                                   top mark
- *         | 0x02 varint(slotWord)                  backward reference
+ *   item := 0x01                                   root: the next record
+ *         | 0x02 varint(slotWord)                  root: a slot word
  *         | 0x03 varint(rawLen) rawBytes           raw record, verbatim
  *         | 0x04 varint(tid) varint(mark) fields   instance, packed
  *         | 0x05 varint(tid) varint(mark) varint(n) payload
@@ -148,8 +148,8 @@ struct WirePolicy
 /**
  * Receiver hooks for expandCompactSegment. `place(bytes)` must return
  * heap-chunk storage for one full-format record (the expander writes
- * header + payload; callers do run/stats bookkeeping). `onMarker` is
- * invoked for top marks and backward references in stream order.
+ * header + payload; callers do span/stats bookkeeping). `onMarker` is
+ * invoked for ctTopMark and ctBackRef items in stream order.
  */
 struct ExpandHooks
 {
@@ -246,18 +246,38 @@ class CompactEncoder
                        const OutputBuffer::FlushFn &sink);
 
   private:
+    /** A raw segment's record region and root table (rawseg). */
+    struct RawParts
+    {
+        const std::uint8_t *records;
+        std::size_t recordBytes;
+        const std::uint8_t *table;
+        std::size_t roots;
+    };
+
+    /** Split the raw segment at @p data; panics unless it is one. */
+    static RawParts rawParts(const std::uint8_t *data, std::size_t len);
+
     int decisionFor(std::int32_t tid, const Klass *k);
     Klass *klassFor(std::int32_t tid);
-    bool anyCompactClass(const std::uint8_t *data, std::size_t len);
-    void buildCompact(const std::uint8_t *data, std::size_t len);
+    bool anyCompactClass(const std::uint8_t *records, std::size_t len);
+    /** Encode @p seg into enc_ (items only). */
+    void buildCompact(const RawParts &seg);
     void appendRecord(const std::uint8_t *rec, std::size_t size,
                       std::int32_t tid, const Klass *k, bool compact);
+    /** ctTopMark when @p record_follows names the next record, else
+     *  ctBackRef. */
+    void appendRoot(Word root, bool record_follows);
     void syncMeasured();
 
     SkywayContext &ctx_;
     ObjectFormat wireFmt_;
     WireCompactMode mode_;
     double minSavingPct_;
+    /** Logical address of the next segment's first record. */
+    std::uint64_t logical_ = 0;
+    /** Per root slot: the record before which its item goes. */
+    std::vector<std::uint64_t> emitAt_;
     std::vector<std::uint8_t> enc_;
     std::vector<std::uint8_t> out_;
     std::vector<std::uint8_t> rle_;

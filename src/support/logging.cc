@@ -11,9 +11,9 @@ logMessage(const char *severity, const std::string &msg)
 }
 
 void
-panic(const std::string &msg)
+panic(std::string_view msg)
 {
-    logMessage("panic", msg);
+    logMessage("panic", std::string(msg));
     std::abort();
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 namespace skyway
 {
@@ -23,7 +24,7 @@ void logMessage(const char *severity, const std::string &msg);
  * conditions that indicate a bug in the runtime itself, never for bad
  * input.
  */
-[[noreturn]] void panic(const std::string &msg);
+[[noreturn]] void panic(std::string_view msg);
 
 /**
  * Exit with an error: the run cannot continue because of a condition that
@@ -38,12 +39,17 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
- * Assert an internal invariant; panics with @p msg when @p cond is false.
+ * Assert an internal invariant; panics with @p msg when @p cond is true.
  * Unlike assert(3) this is active in all build types — the runtime
  * manipulates raw heap memory and silent corruption is worse than a halt.
+ *
+ * @p msg is a view so a literal costs nothing when the check passes. A
+ * message that must be built (concatenation, to_string) belongs in
+ * `if (cond) panic(...)`, where it is built only on failure;
+ * tools/lint_invariants.py rule 4 rejects it as a panicIf argument.
  */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, std::string_view msg)
 {
     if (cond)
         panic(msg);

@@ -172,15 +172,42 @@ TEST_F(FailureTest, SkywayBadRelativeAddressDies)
     out.flush();
 
     // Corrupt the Pair's "left" slot (first payload word after the
-    // header of the first record, which follows the 8-byte top mark).
+    // header of the first record, which follows the 24-byte segment
+    // header).
     std::size_t slot_off =
-        8 + b_.heap().format().headerBytes();
+        rawseg::headerBytes + b_.heap().format().headerBytes();
     Word huge = 1u << 30;
     std::memcpy(bytes.data() + slot_off, &huge, sizeof(huge));
 
     SkywayObjectInputStream in(b_.skyway());
     in.feed(bytes.data(), bytes.size());
     EXPECT_DEATH(in.finish(), "relative address");
+}
+
+TEST_F(FailureTest, SkywayHugeArrayLengthDies)
+{
+    // An array length from the wire so large that its byte size wraps
+    // around must be refused before the receiver walks the elements.
+    a_.skyway().shuffleStart();
+    std::vector<std::uint8_t> bytes;
+    LocalRoots roots(a_.heap());
+    std::size_t ra =
+        roots.push(a_.builder().makeRefArray("test.Point", 2));
+    SkywayObjectOutputStream out(
+        a_.skyway(),
+        [&bytes](const std::uint8_t *d, std::size_t n) {
+            bytes.insert(bytes.end(), d, d + n);
+        });
+    out.writeObject(roots.get(ra));
+    out.flush();
+
+    std::size_t len_off =
+        rawseg::headerBytes + b_.heap().format().arrayLengthOffset();
+    Word huge = (1ull << 61) + 1;
+    std::memcpy(bytes.data() + len_off, &huge, sizeof(huge));
+
+    SkywayObjectInputStream in(b_.skyway());
+    EXPECT_DEATH(in.feed(bytes.data(), bytes.size()), "spans");
 }
 
 TEST_F(FailureTest, ByteSourceGuards)

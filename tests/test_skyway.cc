@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <thread>
 
 #include "skyway/streams.hh"
@@ -560,6 +561,190 @@ TEST_F(SkywayTest, TransferredBytesExceedPayloadButCarryHeaders)
     ser.endStream(sink);
     EXPECT_GE(ser.sendStats().bytesCopied, gm.bytes)
         << "whole-object copies (plus marker records)";
+}
+
+// ---------------------------------------------------------------------
+// Raw segments: root tables and the one-pass receiver
+// ---------------------------------------------------------------------
+
+/** The flushed segments of one stream, as the sink saw them. */
+using Segments = std::vector<std::vector<std::uint8_t>>;
+
+Word
+wordAt(const std::vector<std::uint8_t> &v, std::size_t off)
+{
+    Word w;
+    std::memcpy(&w, v.data() + off, wordSize);
+    return w;
+}
+
+/** Receive @p segs the zero-copy way: each into its own reservation. */
+std::unique_ptr<InputBuffer>
+receiveZeroCopy(SkywayContext &ctx, const Segments &segs,
+                std::size_t chunk_bytes)
+{
+    auto buf = std::make_unique<InputBuffer>(ctx, chunk_bytes);
+    for (const auto &s : segs) {
+        std::memcpy(buf->reserveChunk(s.size()), s.data(), s.size());
+        buf->commitChunk(s.size());
+    }
+    buf->finalize();
+    return buf;
+}
+
+/** Receive @p segs through feed(), concatenated as in a file. */
+std::unique_ptr<InputBuffer>
+receiveFed(SkywayContext &ctx, const Segments &segs,
+           std::size_t chunk_bytes)
+{
+    std::vector<std::uint8_t> file;
+    for (const auto &s : segs)
+        file.insert(file.end(), s.begin(), s.end());
+    auto buf = std::make_unique<InputBuffer>(ctx, chunk_bytes);
+    buf->feed(file.data(), file.size());
+    buf->finalize();
+    return buf;
+}
+
+class RootTableTest : public SkywayTest,
+                      public ::testing::WithParamInterface<WireCompactMode>
+{
+  protected:
+    /** Write @p roots in one stream of @p buffer_bytes; keep segments. */
+    Segments
+    capture(const std::vector<Address> &roots, std::size_t buffer_bytes)
+    {
+        nodeA_.skyway().setWireCompactMode(GetParam());
+        nodeA_.skyway().shuffleStart();
+        Segments segs;
+        SkywayObjectOutputStream out(
+            nodeA_.skyway(),
+            [&segs](const std::uint8_t *d, std::size_t n) {
+                segs.emplace_back(d, d + n);
+            },
+            buffer_bytes);
+        for (Address r : roots)
+            out.writeObject(r);
+        out.flush();
+        return segs;
+    }
+};
+
+TEST_P(RootTableTest, NullBackReferenceAndSpilledRootsRoundTrip)
+{
+    // The buffer fits the header, p1 and the three root slots, but
+    // not p2's record: p2's first-write slot lands in the first
+    // segment's root table while its record opens the second segment.
+    LocalRoots roots(nodeA_.heap());
+    std::size_t r1 = roots.push(makePoint(nodeA_, 1, 2));
+    std::size_t r2 = roots.push(makePoint(nodeA_, 3, 4));
+    std::size_t point =
+        nodeA_.klasses().load("test.Point")->instanceBytes();
+    std::size_t buffer =
+        rawseg::headerBytes + point + 2 * wordSize + point / 2;
+    Segments segs = capture({roots.get(r1), nullAddr, roots.get(r2),
+                             roots.get(r1)},
+                            std::max<std::size_t>(buffer, 64));
+    ASSERT_GE(segs.size(), 2u);
+
+    if (GetParam() == WireCompactMode::Off) {
+        // [rawSeg][record bytes][root count] [p1] [p1*, null, p2*]
+        const auto &s = segs.front();
+        ASSERT_EQ(wordAt(s, 0), marker::rawSeg);
+        ASSERT_EQ(wordAt(s, wordSize), point);
+        ASSERT_EQ(wordAt(s, 2 * wordSize), 3u);
+        std::size_t table = rawseg::headerBytes + point;
+        EXPECT_EQ(wordAt(s, table), 1u | rawseg::firstWrite);
+        EXPECT_EQ(wordAt(s, table + wordSize), 0u);
+        EXPECT_EQ(wordAt(s, table + 2 * wordSize),
+                  (point + 1) | rawseg::firstWrite)
+            << "p2's slot names the first record of the next segment";
+    }
+
+    for (bool zero_copy : {false, true}) {
+        auto buf = zero_copy ? receiveZeroCopy(nodeB_.skyway(), segs,
+                                               defaultInputChunkBytes)
+                             : receiveFed(nodeB_.skyway(), segs,
+                                          defaultInputChunkBytes);
+        const std::vector<Address> &got = buf->roots();
+        ASSERT_EQ(got.size(), 4u);
+        EXPECT_TRUE(graphsEqual(nodeA_.heap(), roots.get(r1),
+                                nodeB_.heap(), got[0]));
+        EXPECT_EQ(got[1], nullAddr);
+        EXPECT_TRUE(graphsEqual(nodeA_.heap(), roots.get(r2),
+                                nodeB_.heap(), got[2]));
+        EXPECT_EQ(got[3], got[0]) << "backward reference root";
+        keep_.push_back(std::move(buf));
+    }
+}
+
+TEST_P(RootTableTest, RefsAcrossSegmentsAndChunksRoundTrip)
+{
+    // A 256-byte output buffer and 1 KB chunks: references point both
+    // backwards into earlier segments (absolutized at commit) and
+    // forwards into segments not yet received (pending until
+    // finalize), and both kinds cross chunk boundaries.
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 400);
+    std::size_t rh = roots.push(head);
+    Address mixed = makeMixed(nodeA_, roots, "across segments");
+    std::size_t rm = roots.push(mixed);
+    Klass *pairK = nodeA_.klasses().load("test.Pair");
+    std::size_t rp = roots.push(nodeA_.heap().allocateInstance(pairK));
+    field::setRef(nodeA_.heap(), roots.get(rp), pairK->requireField("left"),
+                  roots.get(rm));
+    field::setRef(nodeA_.heap(), roots.get(rp),
+                  pairK->requireField("right"), roots.get(rh));
+
+    Segments segs = capture({roots.get(rh), roots.get(rp)}, 256);
+    EXPECT_GT(segs.size(), 20u);
+    for (bool zero_copy : {false, true}) {
+        auto buf = zero_copy
+                       ? receiveZeroCopy(nodeB_.skyway(), segs, 1 << 10)
+                       : receiveFed(nodeB_.skyway(), segs, 1 << 10);
+        EXPECT_GT(buf->chunkCount(), 10u);
+        ASSERT_EQ(buf->roots().size(), 2u);
+        EXPECT_TRUE(graphsEqual(nodeA_.heap(), roots.get(rh),
+                                nodeB_.heap(), buf->roots()[0]));
+        EXPECT_TRUE(graphsEqual(nodeA_.heap(), roots.get(rp),
+                                nodeB_.heap(), buf->roots()[1]));
+        keep_.push_back(std::move(buf));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(WireModes, RootTableTest,
+                         ::testing::Values(WireCompactMode::Off,
+                                           WireCompactMode::Force),
+                         [](const auto &mode) {
+                             return mode.param == WireCompactMode::Off
+                                        ? std::string("raw")
+                                        : std::string("force");
+                         });
+
+TEST_F(SkywayTest, FileOfConcatenatedSegmentsRoundTrips)
+{
+    // A 1 KB output buffer writes the file as many raw segments back
+    // to back; one feed() of the whole file copies each segment into
+    // chunk storage and commits it in place.
+    nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 500);
+    nodeA_.skyway().shuffleStart();
+    SkywayFileOutputStream out(nodeA_.skyway(), nodeB_.disk(),
+                               "segments.bin", 1 << 10);
+    out.writeObject(head);
+    out.writeObject(nullAddr);
+    out.flush();
+    ASSERT_GT(out.totalBytes(), 8u << 10);
+
+    SkywayFileInputStream in(nodeB_.skyway(), nodeB_.disk(),
+                             "segments.bin", 4 << 10);
+    ASSERT_TRUE(in.hasNext());
+    EXPECT_TRUE(graphsEqual(nodeA_.heap(), head, nodeB_.heap(),
+                            in.readObject()));
+    EXPECT_EQ(in.readObject(), nullAddr);
+    EXPECT_GT(in.buffer().chunkCount(), 1u);
+    keep_.push_back(in.releaseBuffer());
 }
 
 } // namespace

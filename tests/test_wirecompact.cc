@@ -160,10 +160,10 @@ TEST_F(WireCompactTest, OffModeShipsRawSegments)
     std::vector<std::uint8_t> bytes =
         capture({p}, WireCompactMode::Off);
     EXPECT_FALSE(wire::isCompactSegment(bytes.data(), bytes.size()));
-    // Raw streams start with a top mark, as they always have.
+    // Raw streams start with a raw segment's kind word.
     Word first;
     std::memcpy(&first, bytes.data(), wordSize);
-    EXPECT_EQ(first, marker::topMark);
+    EXPECT_EQ(first, marker::rawSeg);
 }
 
 TEST_F(WireCompactTest, PaddingStrippedInstancesRoundTrip)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Repo-specific concurrency lints (docs/STATIC_ANALYSIS.md).
+"""Repo-specific lints (docs/STATIC_ANALYSIS.md).
 
-Three rules, each codifying a bug class this transport has actually
+Four rules, each codifying a bug class this code base has actually
 shipped (and fixed) before — or, for rule 3, one an adjacent code
 path makes easy to ship:
 
@@ -33,12 +33,22 @@ walks the call graph from ``expandSegment``/``expandCompactSegment``,
 flagging the same blocking primitives as rule 1 plus direct
 ``request()`` round trips.
 
-All rules carry an explicit allowlist with a justification per entry
+Rule 4 — **no built message in a ``panicIf`` call**. ``panicIf``
+takes a ``std::string_view`` so a literal message costs nothing when
+the check passes; a message built with ``+`` or a call (``to_string``,
+``name()``, ``firstFault()``) is heap-allocated and freed on *every*
+call, pass or fail — once per absolutized reference in the receiver's
+hot loop, before this rule existed. Such a check must be written
+``if (cond) panic(...)``. The rule scans src/, bench/, examples/ and
+tests/ and accepts only string literals or a plain name as the
+message.
+
+Rules 1 and 2 carry an explicit allowlist with a justification per entry
 — by-design blocking (the control plane serves strict request/reply
 exchanges) is *checked*, not silenced: an allowlisted name that stops
 matching anything fails the lint, so entries cannot rot.
 
-``--selftest`` runs both engines over tests/lint_fixtures/ — every
+``--selftest`` runs every engine over tests/lint_fixtures/ — every
 ``fail_*.cc`` snippet must trip its rule, every ``pass_*.cc`` must
 not. Registered as the `lint-invariants` / `lint-invariants-selftest`
 CTest targets (label: lint).
@@ -294,6 +304,53 @@ def check_lock_round_trip(path: pathlib.Path, text: str) -> tuple:
     return violations, allow_hits
 
 
+#: Rule 4: where panicIf calls are checked.
+PANICIF_DIRS = ("src", "bench", "examples", "tests")
+PANICIF_RE = re.compile(r"\bpanicIf\s*\(")
+
+
+def call_args(text: str, open_paren: int) -> tuple:
+    """Top-level argument texts of the call whose '(' is at
+    `open_paren` in comment- and literal-stripped `text`, and the index
+    just past its ')'."""
+    args, cur, depth, i = [], [], 1, open_paren + 1
+    while i < len(text) and depth:
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        if depth == 1 and c == ",":
+            args.append("".join(cur))
+            cur = []
+        elif depth:
+            cur.append(c)
+        i += 1
+    args.append("".join(cur))
+    return args, i
+
+
+def check_panicif_messages(path, text: str) -> list:
+    """Rule 4 over one file: every panicIf message is literals or a
+    name (nothing that builds a string on the passing path)."""
+    violations = []
+    stripped = strip_comments(text)
+    for m in PANICIF_RE.finditer(stripped):
+        args, _ = call_args(stripped, m.end() - 1)
+        if len(args) < 2:
+            continue
+        msg = ",".join(args[1:])
+        rest = re.sub(r'""', "", msg).strip()
+        if "+" in rest or "(" in rest:
+            lineno = stripped.count("\n", 0, m.start()) + 1
+            violations.append(
+                f"{path}:{lineno}: panicIf message is built on every "
+                f"call ({' '.join(rest.split())}); write "
+                "`if (cond) panic(...)` instead"
+            )
+    return violations
+
+
 def run(root: pathlib.Path) -> int:
     violations = []
     loop_allow_hits = set()
@@ -318,6 +375,15 @@ def run(root: pathlib.Path) -> int:
         [(root / f, (root / f).read_text(encoding="utf-8"))
          for f in EXPAND_PATH_FILES if (root / f).exists()]
     )
+
+    for sub in PANICIF_DIRS:
+        for pattern in ("*.cc", "*.hh", "*.cpp"):
+            for path in sorted((root / sub).rglob(pattern)):
+                if "lint_fixtures" in path.parts:
+                    continue
+                violations += check_panicif_messages(
+                    path, path.read_text(encoding="utf-8")
+                )
 
     # Stale-allowlist check: every entry must still match real code.
     for name in sorted(set(ALLOW_LOOP_BLOCKING) - loop_allow_hits):
@@ -346,7 +412,7 @@ def run(root: pathlib.Path) -> int:
         f"{', '.join(sorted(loop_allow_hits))}); no lock held across "
         "a round trip (checked allowlist: "
         f"{', '.join(sorted(lock_allow_hits))}); no blocking call in "
-        "the compact expand path"
+        "the compact expand path; no built panicIf message"
     )
     return 0
 
@@ -365,6 +431,8 @@ def selftest(root: pathlib.Path) -> int:
             found, _ = check_loop_blocking(path, text)
         elif "lock_roundtrip" in path.name:
             found, _ = check_lock_round_trip(path, text)
+        elif "panicif_message" in path.name:
+            found = check_panicif_messages(path, text)
         else:
             failures.append(f"{path.name}: unknown rule in file name")
             continue
