@@ -9,12 +9,11 @@
  * (`net.pooled_connections`), plus the two other invariants the
  * multiplexing refactor must not lose:
  *
- *  - zero-copy receive: every payload byte lands via recv() into
- *    ReserveFn-posted storage, so `net.recv_into_bytes` equals the
- *    total payload byte count exactly (no staging copies under
- *    round-robin draining; a SKYWAY_NET_CREDIT_BYTES override small
- *    enough to trigger the stall rescue relaxes this to an upper
- *    bound);
+ *  - zero-copy receive: every destination posts landing storage for
+ *    every frame before anything is sent, and its ReserveFn returns
+ *    that storage, so every payload byte is taken in place:
+ *    `net.recv_into_bytes` equals the total payload byte count
+ *    exactly and `net.staged_bytes` is 0;
  *  - transport-invariant accounting: per-node bytesSent /
  *    messagesSent / wireNs match the model-transport run byte for
  *    byte (ClusterNetwork charges before delegating).
@@ -25,14 +24,16 @@
  * RLIMIT_NOFILE up front and says what to raise.
  *
  * JSON rows (schema v1) carry the deterministic counters
- * fabric_bytes / fabric_msgs / recv_into_bytes / pooled_connections —
- * the perf-diff allowlist for this bench — alongside observational
- * credit_stall_ms / epoll_wakeups / frames_sent.
+ * fabric_bytes / fabric_msgs / recv_into_bytes / staged_bytes /
+ * pooled_connections — the perf-diff allowlist for this bench —
+ * alongside observational credit_stall_ms / epoll_wakeups /
+ * frames_sent.
  */
 
 #include <sys/resource.h>
 
 #include <cstdlib>
+#include <memory>
 #include <thread>
 
 #include "bench/benchutil.hh"
@@ -82,9 +83,9 @@ void
 checkFdBudget(int n)
 {
     // Both ends of every pair socket live in this process, plus each
-    // node's listener, epoll fd, and wake pipe.
+    // node's listener, epoll fd, and wake eventfd.
     std::uint64_t need =
-        std::uint64_t(n) * (n - 1) + 4u * std::uint64_t(n) + 64;
+        std::uint64_t(n) * (n - 1) + 3u * std::uint64_t(n) + 64;
     struct rlimit rl;
     if (getrlimit(RLIMIT_NOFILE, &rl) != 0)
         return;
@@ -102,6 +103,7 @@ struct RunResult
     std::vector<std::uint64_t> msgs;
     std::vector<std::uint64_t> wireNs;
     std::uint64_t recvInto = 0;
+    std::uint64_t staged = 0;
     std::uint64_t pooled = 0;
     std::uint64_t framesSent = 0;
     std::uint64_t creditStallsNs = 0;
@@ -130,7 +132,8 @@ struct RunResult
 /**
  * One all-to-all: every ordered (src, dst) pair sends @p frames
  * payloads of @p frame_bytes then EOS on the per-source tag; each
- * destination drains its n-1 streams round-robin with pollTagInto.
+ * destination drains its n-1 streams round-robin with pollTagInto,
+ * into storage it posted for every frame before the sends.
  */
 RunResult
 runAllToAll(TransportKind kind, int n, int frames,
@@ -138,6 +141,22 @@ runAllToAll(TransportKind kind, int n, int frames,
 {
     Stopwatch sw;
     ClusterNetwork net(n, gigabitEthernet(), kind);
+
+    // Frame f of stream s -> d lands at slot(d, s, f), posted in
+    // stream order so the per-tag FIFO of posts matches the frames.
+    std::size_t slots = std::size_t(n) * n * frames;
+    std::unique_ptr<std::uint8_t[]> storage(
+        new std::uint8_t[slots * frame_bytes]);
+    auto slot = [&](int d, int s, int f) {
+        return storage.get() +
+               ((std::size_t(d) * n + s) * frames + f) * frame_bytes;
+    };
+    for (int d = 0; d < n; ++d) {
+        for (int s = 0; s < n; ++s) {
+            for (int f = 0; s != d && f < frames; ++f)
+                net.post(d, kTagBase + s, slot(d, s, f), frame_bytes);
+        }
+    }
 
     for (int s = 0; s < n; ++s) {
         for (int d = 0; d < n; ++d) {
@@ -154,7 +173,6 @@ runAllToAll(TransportKind kind, int n, int frames,
         }
     }
 
-    std::vector<std::uint8_t> sink;
     for (int d = 0; d < n; ++d) {
         std::vector<int> delivered(n, 0);
         std::vector<char> done(n, 0);
@@ -166,9 +184,11 @@ runAllToAll(TransportKind kind, int n, int frames,
                 if (done[s])
                     continue;
                 std::ptrdiff_t got = net.pollTagInto(
-                    d, kTagBase + s, [&](std::size_t len) {
-                        sink.resize(len);
-                        return sink.data();
+                    d, kTagBase + s, [&](std::size_t) {
+                        panicIf(delivered[s] >= frames,
+                                "bench_allto_all: frame past the end "
+                                "of its stream");
+                        return slot(d, s, delivered[s]);
                     });
                 if (got < 0)
                     continue;
@@ -184,7 +204,7 @@ runAllToAll(TransportKind kind, int n, int frames,
                         "bench_allto_all: short frame");
                 std::uint8_t want = static_cast<std::uint8_t>(
                     s * 31 + d * 7 + delivered[s]);
-                panicIf(sink[0] != want,
+                panicIf(*slot(d, s, delivered[s]) != want,
                         "bench_allto_all: frame out of order");
                 ++delivered[s];
             }
@@ -201,6 +221,7 @@ runAllToAll(TransportKind kind, int n, int frames,
         r.wireNs.push_back(net.wireNs(s));
     }
     r.recvInto = net.recvIntoBytes();
+    r.staged = net.stagedBytes();
     r.pooled = net.pooledConnections();
     r.framesSent = net.framesSent();
     r.creditStallsNs = net.creditStallsNs();
@@ -215,6 +236,7 @@ emitRow(bench::JsonReport::Row &row, const RunResult &r)
     row.value("fabric_bytes", static_cast<double>(r.totalBytes()));
     row.value("fabric_msgs", static_cast<double>(r.totalMsgs()));
     row.value("recv_into_bytes", static_cast<double>(r.recvInto));
+    row.value("staged_bytes", static_cast<double>(r.staged));
     row.value("pooled_connections", static_cast<double>(r.pooled));
     row.value("frames_sent", static_cast<double>(r.framesSent));
     row.value("credit_stall_ms", r.creditStallsNs / 1e6);
@@ -282,23 +304,16 @@ main(int argc, char **argv)
                   std::to_string(n) + ", saw " +
                   std::to_string(tcp.pooled));
 
-        // With the default credit window every stream's frames fit in
-        // flight and all payload bytes must land zero-copy. A small
-        // SKYWAY_NET_CREDIT_BYTES override makes the event loops'
-        // stall rescue stage some frames (a legitimate copy, see
-        // docs/TRANSPORT.md §5), so only the upper bound holds there.
+        // Every frame was posted for ahead, so every payload byte
+        // must be taken in place and none staged.
         std::uint64_t payloadBytes = std::uint64_t(n) * (n - 1) *
                                      frames * frameBytes;
-        bool windowShrunk = false;
-        if (const char *env = std::getenv("SKYWAY_NET_CREDIT_BYTES"))
-            windowShrunk = std::strtoull(env, nullptr, 10) <
-                           std::uint64_t(frames) * frameBytes;
-        if (tcp.recvInto > payloadBytes ||
-            (!windowShrunk && tcp.recvInto != payloadBytes))
+        if (tcp.recvInto != payloadBytes || tcp.staged != 0)
             fatal("bench_allto_all: zero-copy leak at N=" +
                   std::to_string(n) + ": recv_into_bytes " +
                   std::to_string(tcp.recvInto) + " != payload bytes " +
-                  std::to_string(payloadBytes));
+                  std::to_string(payloadBytes) + " or staged_bytes " +
+                  std::to_string(tcp.staged) + " != 0");
 
         if (tcp.bytes != model.bytes || tcp.msgs != model.msgs ||
             tcp.wireNs != model.wireNs)
@@ -310,10 +325,8 @@ main(int argc, char **argv)
                   std::to_string(tcp.totalMsgs()) + " msgs");
 
         std::printf("%6s N=%-4d parity ok, %llu conns = N(N-1)/2, "
-                    "zero-copy %s\n", "", n,
-                    static_cast<unsigned long long>(tcp.pooled),
-                    windowShrunk ? "bounded (shrunk window)"
-                                 : "exact");
+                    "zero-copy exact\n", "", n,
+                    static_cast<unsigned long long>(tcp.pooled));
     }
 
     std::printf("\n(one pooled connection per node pair: the 128-node "

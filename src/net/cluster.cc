@@ -100,6 +100,19 @@ ClusterNetwork::pollTagInto(NodeId dst, int tag,
 }
 
 void
+ClusterNetwork::post(NodeId dst, int tag, std::uint8_t *at,
+                     std::size_t len)
+{
+    transport_->post(dst, tag, at, len);
+}
+
+void
+ClusterNetwork::unpost(NodeId dst, int tag)
+{
+    transport_->unpost(dst, tag);
+}
+
+void
 ClusterNetwork::registerHandler(NodeId node, RequestHandler handler)
 {
     transport_->registerHandler(node, std::move(handler));

@@ -69,12 +69,13 @@ class ClusterNetwork
     bool pollTag(NodeId dst, int tag, NetMessage &out);
 
     /**
-     * Like pollTag, but delivers the payload *into caller-posted
-     * storage*: the transport asks @p reserve for a destination of
-     * the payload's size and moves the bytes straight there — a
-     * modeled NIC DMA on the model transport, a literal recv() into
-     * the posted buffer on the tcp transport. The receiver-side
-     * staging copy is gone either way.
+     * Like pollTag, but delivers the payload *into caller storage*:
+     * the transport asks @p reserve for a destination of the
+     * payload's size and puts the bytes there — a modeled NIC DMA on
+     * the model transport. On the tcp transport a payload that landed
+     * in storage posted for it (post()) is taken in place when
+     * @p reserve returns that storage; any other is copied in from
+     * staging.
      *
      * Returns the payload size, 0 for an empty (end-of-stream)
      * payload — @p reserve is not called — or -1 when no message with
@@ -82,6 +83,17 @@ class ClusterNetwork
      */
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve);
+
+    /**
+     * Post @p len bytes at @p at as landing storage for one future
+     * frame of @p tag addressed to @p dst, so pollTagInto can take it
+     * in place (Transport::post has the rules; the model transport
+     * ignores posts).
+     */
+    void post(NodeId dst, int tag, std::uint8_t *at, std::size_t len);
+
+    /** Withdraw every post of @p tag at @p dst (Transport::unpost). */
+    void unpost(NodeId dst, int tag);
 
     /** Register @p handler as @p node's synchronous request daemon. */
     void registerHandler(NodeId node, RequestHandler handler);
@@ -142,6 +154,11 @@ class ClusterNetwork
     recvIntoBytes() const
     {
         return wire_.recvIntoBytes.load(std::memory_order_relaxed);
+    }
+    std::uint64_t
+    stagedBytes() const
+    {
+        return wire_.stagedBytes.load(std::memory_order_relaxed);
     }
     std::uint64_t
     realWireNs() const

@@ -8,17 +8,23 @@
  *
  * Connection handshake (sent once by the connecting side):
  *
- *     u32 magic 'SKYW' | u8 channel (0 = data, 1 = control)
- *     | i32 src node id | i32 reserved (0)
+ *     u32 magic 'SKYW' | u8 channel (0 = data) | i32 src node id
+ *     | i32 reserved (0)
  *
- * The data plane is *multiplexed*: exactly one connection per node
- * pair carries every stream between the two nodes as tagged,
- * length-prefixed mux frames, in both directions. A stream is
+ * Exactly one connection per node pair carries everything between the
+ * two nodes — every stream, credit grant, request and reply — as
+ * tagged, length-prefixed mux frames, in both directions. A stream is
  * identified by (sender, receiver, tag); on a pair connection the
  * endpoints are fixed, so the frame header only needs the writer's
  * node id (validation), the tag, and one argument word.
  *
  * Mux frame:     u8 kind | i32 origin | i32 tag | u32 arg
+ *                kind 2 = request, 3 = reply: origin is the writer,
+ *                tag the request's tag, arg the payload length; the
+ *                payload is a u32 request id followed by the request
+ *                or reply body. The id lets a requester that timed
+ *                out and resent discard the stale earlier reply.
+ *                Requests and replies are exempt from credit.
  *                kind 4 = stream data: origin is the writer (the
  *                stream's sender), arg is the payload length, and
  *                `arg` payload bytes follow (arg == 0 is the
@@ -27,10 +33,6 @@
  *                stream's *receiver*, granting), arg is the number of
  *                payload bytes returned to the stream's send window,
  *                no payload. See docs/TRANSPORT.md §4.
- * Control frame: u8 kind (2 = request, 3 = reply) | i32 src
- *                | i32 tag | u32 reqId | u32 len | payload.
- *                reqId lets a requester that timed out and resent
- *                discard the stale earlier reply.
  */
 
 #ifndef SKYWAY_NET_FRAME_HH
@@ -39,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace skyway
 {
@@ -48,7 +51,6 @@ namespace frame
 constexpr std::uint32_t handshakeMagic = 0x534B5957; // "SKYW"
 
 constexpr std::uint8_t channelData = 0;
-constexpr std::uint8_t channelControl = 1;
 
 constexpr std::uint8_t kindRequest = 2;
 constexpr std::uint8_t kindReply = 3;
@@ -57,7 +59,8 @@ constexpr std::uint8_t kindCredit = 5;
 
 constexpr std::size_t handshakeBytes = 4 + 1 + 4 + 4;
 constexpr std::size_t muxHeaderBytes = 1 + 4 + 4 + 4;
-constexpr std::size_t controlHeaderBytes = 1 + 4 + 4 + 4 + 4;
+/** The request id leading a request or reply frame's payload. */
+constexpr std::size_t reqIdBytes = 4;
 
 inline void
 putU32(std::uint8_t *p, std::uint32_t v)
@@ -117,7 +120,9 @@ decodeHandshake(const std::uint8_t (&buf)[handshakeBytes], Handshake &h)
  * One multiplexed frame header on a pair connection. For kindStream,
  * @p origin is the stream's sender and @p arg the payload length
  * (0 = end of stream). For kindCredit, @p origin is the granting
- * receiver and @p arg the bytes returned to the stream's window.
+ * receiver and @p arg the bytes returned to the stream's window. For
+ * kindRequest/kindReply, @p arg is the payload length (request id
+ * included).
  */
 struct MuxHeader
 {
@@ -143,31 +148,15 @@ decodeMuxHeader(const std::uint8_t (&buf)[muxHeaderBytes])
                      getU32(buf + 9)};
 }
 
-struct ControlHeader
+/** The payload of a request or reply frame: @p req_id, then @p body. */
+inline std::vector<std::uint8_t>
+requestPayload(std::uint32_t req_id, const std::vector<std::uint8_t> &body)
 {
-    std::uint8_t kind;
-    std::int32_t src;
-    std::int32_t tag;
-    std::uint32_t reqId;
-    std::uint32_t len;
-};
-
-inline void
-encodeControlHeader(std::uint8_t (&buf)[controlHeaderBytes],
-                    const ControlHeader &h)
-{
-    buf[0] = h.kind;
-    putI32(buf + 1, h.src);
-    putI32(buf + 5, h.tag);
-    putU32(buf + 9, h.reqId);
-    putU32(buf + 13, h.len);
-}
-
-inline ControlHeader
-decodeControlHeader(const std::uint8_t (&buf)[controlHeaderBytes])
-{
-    return ControlHeader{buf[0], getI32(buf + 1), getI32(buf + 5),
-                         getU32(buf + 9), getU32(buf + 13)};
+    std::vector<std::uint8_t> p(reqIdBytes + body.size());
+    putU32(p.data(), req_id);
+    if (!body.empty())
+        std::memcpy(p.data() + reqIdBytes, body.data(), body.size());
+    return p;
 }
 
 } // namespace frame

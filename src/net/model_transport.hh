@@ -31,6 +31,12 @@ class ModelTransport final : public Transport
     bool pollTag(NodeId dst, int tag, NetMessage &out) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
+
+    /** Posts are ignored: a message is delivered by the consumer's
+     *  own pollTagInto, straight into what its ReserveFn returns. */
+    void post(NodeId, int, std::uint8_t *, std::size_t) override {}
+    void unpost(NodeId, int) override {}
+
     void registerHandler(NodeId node, RequestHandler handler) override;
     std::vector<std::uint8_t>
     request(NodeId src, NodeId dst, int tag,

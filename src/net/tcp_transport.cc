@@ -4,19 +4,17 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <iterator>
 
 #include "net/frame.hh"
 #include "obs/metrics.hh"
@@ -36,6 +34,7 @@ struct TcpMetrics
     obs::Counter &framesSent;
     obs::Counter &connectRetries;
     obs::Counter &recvIntoBytes;
+    obs::Counter &stagedBytes;
     obs::Counter &creditStallsNs;
     obs::Counter &epollWakeups;
     obs::Gauge &streamsActive;
@@ -50,6 +49,7 @@ struct TcpMetrics
             r.counter("net.frames_sent"),
             r.counter("net.connect_retries"),
             r.counter("net.recv_into_bytes"),
+            r.counter("net.staged_bytes"),
             r.counter("net.credit_stalls_ns"),
             r.counter("net.epoll_wakeups"),
             r.gauge("net.streams_active"),
@@ -59,15 +59,15 @@ struct TcpMetrics
     }
 };
 
-/** How long the event loop sleeps in epoll_wait when idle. */
-constexpr int loopWaitMs = 50;
-
-/** How long a stream may sit credit-stalled before the loop assumes
- *  its grant is trapped behind a parked inbound frame and stages that
- *  connection (2x the epoll timeout, so the check always fires while
- *  a genuine just-slow receiver rarely trips it). */
-constexpr std::uint64_t stallRescueNs =
-    2ull * loopWaitMs * 1'000'000ull;
+/** Add @p n to one of a fabric's WireCounters and to the registry
+ *  counter that mirrors it. */
+void
+bump(std::atomic<std::uint64_t> &wire, obs::Counter &mirror,
+     std::uint64_t n = 1)
+{
+    wire.fetch_add(n, std::memory_order_relaxed);
+    mirror.add(n);
+}
 
 /** Transient-connect retry budget (listen backlog overflow). */
 constexpr int connectAttempts = 100;
@@ -78,7 +78,6 @@ enum class FdKind : std::uint64_t
     Wake = 0,
     Listen = 1,
     Pair = 2,
-    Ctrl = 3,
 };
 
 std::uint64_t
@@ -90,16 +89,6 @@ packToken(FdKind kind, NodeId peer, int fd)
            static_cast<std::uint32_t>(fd);
 }
 
-/** Monotonic wall clock for stall bookkeeping. */
-std::uint64_t
-monoNs()
-{
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-}
-
 [[noreturn]] void
 sysErr(const char *what)
 {
@@ -107,41 +96,20 @@ sysErr(const char *what)
           std::strerror(errno));
 }
 
-/** Read exactly @p len bytes; false on orderly EOF at a frame edge. */
-bool
-recvFully(int fd, std::uint8_t *buf, std::size_t len)
+/** One non-blocking read: the bytes read, 0 at EOF, or -1 when the
+ *  socket has nothing more for now. */
+ssize_t
+recvSome(int fd, std::uint8_t *buf, std::size_t len)
 {
-    std::size_t got = 0;
-    while (got < len) {
-        ssize_t n = ::recv(fd, buf + got, len - got, 0);
-        if (n > 0) {
-            got += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n == 0) {
-            panicIf(got != 0, "peer closed mid-frame");
-            return false;
-        }
+    while (true) {
+        ssize_t n = ::recv(fd, buf, len, MSG_DONTWAIT);
+        if (n >= 0)
+            return n;
         if (errno == EINTR)
             continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return -1;
         sysErr("recv");
-    }
-    return true;
-}
-
-void
-sendFully(int fd, const std::uint8_t *buf, std::size_t len)
-{
-    std::size_t sent = 0;
-    while (sent < len) {
-        ssize_t n = ::send(fd, buf + sent, len - sent, MSG_NOSIGNAL);
-        if (n >= 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (errno == EINTR)
-            continue;
-        sysErr("send");
     }
 }
 
@@ -159,36 +127,13 @@ pairKey(NodeId a, NodeId b)
     return {std::min(a, b), std::max(a, b)};
 }
 
-/** Environment overrides for TransportOptions (docs/TRANSPORT.md §6). */
-TransportOptions
-applyEnv(TransportOptions opts)
-{
-    if (const char *e = std::getenv("SKYWAY_NET_CREDIT_BYTES")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(e, &end, 10);
-        panicIf(end == e || v == 0,
-                "SKYWAY_NET_CREDIT_BYTES must be a positive integer");
-        opts.creditWindowBytes = static_cast<std::size_t>(v);
-    }
-    if (const char *e = std::getenv("SKYWAY_NET_QUEUE_LIMIT")) {
-        char *end = nullptr;
-        unsigned long long v = std::strtoull(e, &end, 10);
-        panicIf(end == e,
-                "SKYWAY_NET_QUEUE_LIMIT must be an integer (0 = off)");
-        opts.maxQueuedBytesPerStream = static_cast<std::size_t>(v);
-    }
-    if (const char *e = std::getenv("SKYWAY_NET_AFFINITY"))
-        opts.pinEventLoops = e[0] == '1';
-    return opts;
-}
-
 } // namespace
 
 TcpTransport::TcpTransport(int node_count, WireCounters &wire,
                            const TransportOptions &options)
     : nodeCount_(node_count),
       wire_(wire),
-      options_(applyEnv(options)),
+      options_(options),
       handlers_(node_count)
 {
     TcpMetrics::get(); // registration outside any hot path
@@ -223,14 +168,11 @@ TcpTransport::TcpTransport(int node_count, WireCounters &wire,
         // Non-blocking listener: the loop accepts until EAGAIN.
         ::fcntl(n->listenFd, F_SETFL, O_NONBLOCK);
 
-        int pipefd[2];
-        if (::pipe(pipefd) < 0)
-            sysErr("pipe");
-        // Non-blocking read end: the loop drains the pipe dry after a
-        // wakeup without risking a block on an already-empty pipe.
-        ::fcntl(pipefd[0], F_SETFL, O_NONBLOCK);
-        n->wakeRead = pipefd[0];
-        n->wakeWrite = pipefd[1];
+        // Non-blocking: the loop resets it after a wakeup without
+        // risking a block on an already-reset counter.
+        n->wakeFd = ::eventfd(0, EFD_NONBLOCK);
+        if (n->wakeFd < 0)
+            sysErr("eventfd");
 
         n->epollFd = ::epoll_create1(0);
         if (n->epollFd < 0)
@@ -238,7 +180,8 @@ TcpTransport::TcpTransport(int node_count, WireCounters &wire,
 
         nodes_.push_back(std::move(n));
 
-        epollAdd(i, packToken(FdKind::Wake, 0, pipefd[0]), pipefd[0]);
+        epollAdd(i, packToken(FdKind::Wake, 0, nodes_[i]->wakeFd),
+                 nodes_[i]->wakeFd);
         epollAdd(i, packToken(FdKind::Listen, 0, nodes_[i]->listenFd),
                  nodes_[i]->listenFd);
     }
@@ -252,22 +195,6 @@ TcpTransport::TcpTransport(int node_count, WireCounters &wire,
 TcpTransport::~TcpTransport()
 {
     running_.store(false, std::memory_order_relaxed);
-    for (int i = 0; i < nodeCount_; ++i) {
-        {
-            // Release bounded-queue senders stuck in send().
-            MutexLock lock(nodes_[i]->sendMutex);
-        }
-        nodes_[i]->sendCv.notify_all();
-    }
-    // A released sender still reads running_, and one that raced past
-    // the wait still touches its stream queue and the wake pipe on
-    // the way out — wait for every in-flight send() to leave before
-    // any fd is closed or Node state freed.
-    {
-        MutexLock lock(sendersMutex_);
-        while (inFlightSenders_ != 0)
-            sendersCv_.wait(lock);
-    }
     for (int i = 0; i < nodeCount_; ++i)
         wakeLoop(i);
     for (auto &n : nodes_) {
@@ -276,48 +203,25 @@ TcpTransport::~TcpTransport()
     }
 
     // Unwind the process-wide gauges this fabric contributed to, and
-    // close every fd. The loops are joined and the senders drained,
-    // but consumer threads may still be mid-poll (nothing stops a
-    // reader outliving the fabric), so the guarded state below is
-    // read under its owning locks like everywhere else — they are
-    // uncontended by now and leaf-ordered, so this costs nothing.
-    // (The unlocked reads that used to sit here were the first bug
-    // the SkywayGuard annotations flagged; see
-    // docs/STATIC_ANALYSIS.md and GaugesUnwindOnDestruction.)
+    // close every fd. The loops are joined, but consumer threads may
+    // still be mid-poll (nothing stops a reader outliving the
+    // fabric), so the guarded state below is read under its owning
+    // locks like everywhere else (GaugesUnwindOnDestruction).
     TcpMetrics &m = TcpMetrics::get();
-    std::int64_t active = 0;
     for (auto &n : nodes_) {
         MutexLock lock(n->sendMutex);
         for (auto &[key, s] : n->streams) {
             if (s.active)
-                ++active;
+                m.streamsActive.add(-1);
         }
     }
-    if (active)
-        m.streamsActive.add(-active);
-    {
-        MutexLock lock(poolMutex_);
-        if (!pool_.empty())
-            m.pooledConnections.add(
-                -static_cast<std::int64_t>(pool_.size()));
-    }
-
+    MutexLock lock(poolMutex_);
+    m.pooledConnections.add(-static_cast<std::int64_t>(pool_.size()));
     for (auto &n : nodes_) {
-        {
-            MutexLock lock(poolMutex_);
-            for (auto &[peer, fd] : n->pairFd)
-                ::close(fd);
-        }
-        {
-            MutexLock lock(n->ctrlMutex);
-            for (auto &[dst, fd] : n->ctrlOut)
-                ::close(fd);
-        }
-        for (int fd : n->ctrlIn)
+        for (auto &[peer, fd] : n->pairFd)
             ::close(fd);
         ::close(n->listenFd);
-        ::close(n->wakeRead);
-        ::close(n->wakeWrite);
+        ::close(n->wakeFd);
         ::close(n->epollFd);
     }
 }
@@ -331,9 +235,9 @@ TcpTransport::listenPort(NodeId node) const
 void
 TcpTransport::wakeLoop(NodeId node)
 {
-    std::uint8_t b = 0;
-    ssize_t rc = ::write(nodes_[node]->wakeWrite, &b, 1);
-    (void)rc; // a full pipe already guarantees a wakeup
+    std::uint64_t one = 1;
+    ssize_t rc = ::write(nodes_[node]->wakeFd, &one, sizeof(one));
+    (void)rc; // a saturated counter already guarantees a wakeup
 }
 
 void
@@ -344,25 +248,6 @@ TcpTransport::epollAdd(NodeId node, std::uint64_t token, int fd)
     ev.data.u64 = token;
     if (::epoll_ctl(nodes_[node]->epollFd, EPOLL_CTL_ADD, fd, &ev) < 0)
         sysErr("epoll_ctl(ADD)");
-}
-
-void
-TcpTransport::epollDel(NodeId node, int fd)
-{
-    epoll_event ev{}; // ignored by DEL, but pre-2.6.9 kernels want it
-    if (::epoll_ctl(nodes_[node]->epollFd, EPOLL_CTL_DEL, fd, &ev) < 0)
-        sysErr("epoll_ctl(DEL)");
-}
-
-void
-TcpTransport::writeTimed(int fd, const std::uint8_t *buf,
-                         std::size_t len)
-{
-    Stopwatch sw;
-    sendFully(fd, buf, len);
-    std::uint64_t ns = sw.elapsedNs();
-    wire_.realWireNs.fetch_add(ns, std::memory_order_relaxed);
-    TcpMetrics::get().realWireNs.add(ns);
 }
 
 std::size_t
@@ -386,8 +271,7 @@ TcpTransport::nonblockSend(int fd, const std::uint8_t *p,
     }
     if (sent) {
         std::uint64_t ns = sw.elapsedNs();
-        wire_.realWireNs.fetch_add(ns, std::memory_order_relaxed);
-        TcpMetrics::get().realWireNs.add(ns);
+        bump(wire_.realWireNs, TcpMetrics::get().realWireNs, ns);
     }
     return sent;
 }
@@ -396,7 +280,6 @@ void
 TcpTransport::sendOrQueue(Node &n, NodeId peer, int fd,
                           const std::uint8_t *p, std::size_t len)
 {
-    MutexLock lock(n.outMutex);
     OutBuf &ob = n.outbound[fd];
     ob.peer = peer;
     if (ob.off >= ob.bytes.size()) {
@@ -411,134 +294,43 @@ TcpTransport::sendOrQueue(Node &n, NodeId peer, int fd,
     // Empty entries are reaped by the loop's next flushPairWrites.
 }
 
-bool
-TcpTransport::flushOutBuf(Node &n, int fd, OutBuf &ob)
-{
-    (void)n; // present for the REQUIRES(n.outMutex) annotation only
-    if (ob.off < ob.bytes.size())
-        ob.off += nonblockSend(fd, ob.bytes.data() + ob.off,
-                               ob.bytes.size() - ob.off);
-    if (ob.off >= ob.bytes.size()) {
-        ob.bytes.clear();
-        ob.off = 0;
-        return true;
-    }
-    if (ob.off >= (1u << 20)) {
-        // Reclaim a megabyte of consumed prefix.
-        ob.bytes.erase(ob.bytes.begin(),
-                       ob.bytes.begin() +
-                           static_cast<std::ptrdiff_t>(ob.off));
-        ob.off = 0;
-    }
-    return false;
-}
-
-bool
-TcpTransport::modPairInterest(NodeId node, NodeId peer, int fd,
-                              bool wantOut)
-{
-    Node &n = *nodes_[node];
-    MutexLock lock(n.recvMutex);
-    for (const Parked &p : n.parked) {
-        if (p.fd == fd)
-            return false; // out of the epoll set while parked
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN | (wantOut ? static_cast<unsigned>(EPOLLOUT)
-                                   : 0u);
-    ev.data.u64 = packToken(FdKind::Pair, peer, fd);
-    if (::epoll_ctl(n.epollFd, EPOLL_CTL_MOD, fd, &ev) < 0)
-        sysErr("epoll_ctl(MOD)");
-    return true;
-}
-
 void
 TcpTransport::flushPairWrites(NodeId node)
 {
     Node &n = *nodes_[node];
-    // Phase 1: drain under outMutex, noting which connections need
-    // an interest change. Phase 2 applies the epoll MODs with
-    // outMutex released — modPairInterest takes recvMutex, and a
-    // consumer holding recvMutex may be help-flushing (recvMutex →
-    // outMutex), so nesting the other way would invert lock order.
-    struct Mod
-    {
-        int fd;
-        NodeId peer;
-        bool want;
-    };
-    std::vector<Mod> mods;
-    {
-        MutexLock lock(n.outMutex);
-        for (auto it = n.outbound.begin(); it != n.outbound.end();) {
-            OutBuf &ob = it->second;
-            bool drained = flushOutBuf(n, it->first, ob);
-            if (drained && !ob.armed) {
-                it = n.outbound.erase(it);
-                continue;
-            }
-            // Interest must mirror pending bytes: arm when blocked
-            // and unarmed, disarm when drained and armed.
-            if (drained == ob.armed)
-                mods.push_back(Mod{it->first, ob.peer, !drained});
+    for (auto it = n.outbound.begin(); it != n.outbound.end();) {
+        int fd = it->first;
+        OutBuf &ob = it->second;
+        if (ob.off < ob.bytes.size())
+            ob.off += nonblockSend(fd, ob.bytes.data() + ob.off,
+                                   ob.bytes.size() - ob.off);
+        bool drained = ob.off >= ob.bytes.size();
+        if (drained) {
+            ob.bytes.clear();
+            ob.off = 0;
+        } else if (ob.off >= (1u << 20)) {
+            // Reclaim a megabyte of consumed prefix.
+            ob.bytes.erase(ob.bytes.begin(),
+                           ob.bytes.begin() +
+                               static_cast<std::ptrdiff_t>(ob.off));
+            ob.off = 0;
+        }
+        // Interest mirrors pending bytes: arm when blocked and
+        // unarmed, disarm when drained and armed.
+        if (drained == ob.armed) {
+            epoll_event ev{};
+            ev.events = EPOLLIN | (drained ? 0u
+                                           : static_cast<unsigned>(
+                                                 EPOLLOUT));
+            ev.data.u64 = packToken(FdKind::Pair, ob.peer, fd);
+            if (::epoll_ctl(n.epollFd, EPOLL_CTL_MOD, fd, &ev) < 0)
+                sysErr("epoll_ctl(MOD)");
+            ob.armed = !drained;
+        }
+        if (drained)
+            it = n.outbound.erase(it);
+        else
             ++it;
-        }
-    }
-    for (const Mod &m : mods) {
-        if (!modPairInterest(node, m.peer, m.fd, m.want))
-            continue; // parked: retried after the claim re-arms it
-        MutexLock lock(n.outMutex);
-        auto it = n.outbound.find(m.fd);
-        if (it == n.outbound.end())
-            continue;
-        it->second.armed = m.want;
-        if (!m.want && it->second.off >= it->second.bytes.size())
-            n.outbound.erase(it);
-    }
-}
-
-void
-TcpTransport::helpFlushPair(NodeId peer, NodeId toward)
-{
-    Node &pn = *nodes_[peer];
-    int fd = -1;
-    {
-        MutexLock lock(poolMutex_);
-        auto it = pn.pairFd.find(toward);
-        if (it != pn.pairFd.end())
-            fd = it->second;
-    }
-    if (fd < 0)
-        return;
-    MutexLock lock(pn.outMutex);
-    auto it = pn.outbound.find(fd);
-    if (it != pn.outbound.end())
-        flushOutBuf(pn, fd, it->second); // arming stays the loop's job
-}
-
-void
-TcpTransport::recvParkedPayload(NodeId node, NodeId peer, int fd,
-                                std::uint8_t *buf, std::size_t len)
-{
-    std::size_t got = 0;
-    while (got < len) {
-        ssize_t r = ::recv(fd, buf + got, len - got, MSG_DONTWAIT);
-        if (r > 0) {
-            got += static_cast<std::size_t>(r);
-            continue;
-        }
-        panicIf(r == 0, "peer closed mid-frame");
-        if (errno == EINTR)
-            continue;
-        if (errno != EAGAIN && errno != EWOULDBLOCK)
-            sysErr("recv");
-        // The missing bytes may still sit in the peer's user-space
-        // outbound queue. Pump it ourselves: the peer's loop may be
-        // blocked on THIS thread's recvMutex, so waiting for it
-        // would deadlock the claim.
-        helpFlushPair(peer, node);
-        pollfd p{fd, POLLIN, 0};
-        ::poll(&p, 1, 1);
     }
 }
 
@@ -553,9 +345,7 @@ TcpTransport::connectTo(NodeId dst, const std::uint8_t *shake,
 
     for (int attempt = 0; attempt < connectAttempts; ++attempt) {
         if (attempt > 0) {
-            wire_.connectRetries.fetch_add(1,
-                                           std::memory_order_relaxed);
-            TcpMetrics::get().connectRetries.inc();
+            bump(wire_.connectRetries, TcpMetrics::get().connectRetries);
             // Backlog overflow is transient: the loop accepts in
             // bounded time.
             struct timespec ts {0, 2'000'000}; // 2 ms
@@ -567,7 +357,10 @@ TcpTransport::connectTo(NodeId dst, const std::uint8_t *shake,
         if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                       sizeof(addr)) == 0) {
             setNoDelay(fd);
-            sendFully(fd, shake, shake_len);
+            // A handshake fits a fresh socket's empty buffer whole.
+            if (::send(fd, shake, shake_len, MSG_NOSIGNAL) !=
+                static_cast<ssize_t>(shake_len))
+                sysErr("send(handshake)");
             return fd;
         }
         int err = errno;
@@ -591,16 +384,13 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
         if (it != n.pairFd.end())
             return it->second;
 
-        PairEntry &e = pool_[pairKey(node, dst)];
-        if (e.claimed) {
+        if (!pool_.insert(pairKey(node, dst)).second) {
             // The peer is mid-connect; our loop's accept completes
             // the pair. Never wait here — the accept event re-runs
             // the drain.
             return -1;
         }
-        e.claimed = true;
-        wire_.connectionsPooled.fetch_add(1,
-                                          std::memory_order_relaxed);
+        wire_.connectionsPooled.fetch_add(1, std::memory_order_relaxed);
         TcpMetrics::get().pooledConnections.add(1);
     }
 
@@ -624,49 +414,18 @@ TcpTransport::pairFdOrClaim(NodeId node, NodeId dst)
     return fd;
 }
 
-int
-TcpTransport::ctrlConnFor(Node &n, NodeId src, NodeId dst)
-{
-    auto it = n.ctrlOut.find(dst);
-    if (it != n.ctrlOut.end())
-        return it->second;
-    frame::Handshake h{frame::channelControl, src};
-    std::uint8_t shake[frame::handshakeBytes];
-    frame::encodeHandshake(shake, h);
-    int fd = connectTo(dst, shake, sizeof(shake));
-    n.ctrlOut.emplace(dst, fd);
-    return fd;
-}
-
 void
 TcpTransport::send(NodeId src, NodeId dst, int tag,
                    std::vector<std::uint8_t> payload)
 {
-    // Census in/out so the destructor cannot tear down fds or Node
-    // state under a sender it just released from the bounded wait.
-    {
-        MutexLock lock(sendersMutex_);
-        ++inFlightSenders_;
-    }
-    struct Census
-    {
-        TcpTransport &t;
-        ~Census()
-        {
-            MutexLock lock(t.sendersMutex_);
-            if (--t.inFlightSenders_ == 0)
-                t.sendersCv_.notify_all();
-        }
-    } census{*this};
-
     Node &n = *nodes_[src];
     if (src == dst) {
         // Self-delivery never touches a socket (loopback-to-self is
         // not remote traffic on any transport).
+        auto len = static_cast<std::uint32_t>(payload.size());
         MutexLock lock(n.recvMutex);
-        n.selfBox.push_back(NetMessage{src, dst, tag,
-                                       std::move(payload)});
-        ++n.recvVersion;
+        n.inbound.push_back(
+            Inbound{src, tag, len, len, nullptr, std::move(payload)});
         return;
     }
 
@@ -682,269 +441,138 @@ TcpTransport::send(NodeId src, NodeId dst, int tag,
             s.active = true;
             TcpMetrics::get().streamsActive.add(1);
         }
-        if (options_.maxQueuedBytesPerStream > 0 && !payload.empty()) {
-            // Opt-in bound on unsent bytes; requires a concurrent
-            // drainer (see TransportOptions::maxQueuedBytesPerStream).
-            // An explicit wait loop rather than the predicate
-            // overload: thread-safety analysis cannot see through a
-            // predicate lambda, and the loop is the same code.
-            while (running_.load(std::memory_order_relaxed) &&
-                   s.queuedBytes >= options_.maxQueuedBytesPerStream)
-                n.sendCv.wait(lock);
-            if (!running_.load(std::memory_order_relaxed)) {
-                // Shutdown released us: drop the frame and leave
-                // without touching the queue or the wake pipe.
-                return;
-            }
-        }
-        s.queuedBytes += payload.size();
         s.queue.push_back(std::move(payload));
     }
     wakeLoop(src);
 }
 
 void
-TcpTransport::queueGrant(NodeId node, NodeId src, int tag,
-                         std::uint32_t bytes)
+TcpTransport::queueUncredited(NodeId node, TxFrame f)
 {
     Node &n = *nodes_[node];
     {
         MutexLock lock(n.sendMutex);
-        n.grants.push_back(Grant{src, tag, bytes});
+        n.uncredited.push_back(std::move(f));
     }
     wakeLoop(node);
 }
 
 void
-TcpTransport::stageParked(NodeId node, Node &n,
-                          const std::set<int> *onlyFds)
+TcpTransport::queueGrant(NodeId node, NodeId src, int tag,
+                         std::uint32_t bytes)
 {
-    // Either a consumer is stuck on a tag none of the parked frames
-    // carry, or (onlyFds set) the loop's
-    // stall rescue needs the grants queued behind these frames; read
-    // the payloads off their connections (one staging copy —
-    // intentionally NOT counted as net.recv_into_bytes) so whatever
-    // is queued behind them keeps flowing. Credit is granted only
-    // when a consumer takes a staged message: staged bytes still
-    // occupy this node's memory, so total staging is bounded by the
-    // senders' credit windows.
-    std::vector<Parked> keep;
-    bool stagedAny = false;
-    for (Parked &p : n.parked) {
-        if (onlyFds && !onlyFds->count(p.fd)) {
-            keep.push_back(p);
-            continue;
-        }
-        NetMessage m{p.src, node, p.tag, {}};
-        if (p.len) {
-            m.payload.resize(p.len);
-            recvParkedPayload(node, p.src, p.fd, m.payload.data(),
-                              p.len);
-        }
-        epollAdd(node, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        n.staged.push_back(std::move(m));
-        stagedAny = true;
-    }
-    n.parked = std::move(keep);
-    if (stagedAny)
-        ++n.recvVersion;
+    TxFrame f{src, {}, {}};
+    frame::encodeMuxHeader(f.header, frame::MuxHeader{frame::kindCredit,
+                                                      node, tag, bytes});
+    queueUncredited(node, std::move(f));
+}
+
+std::optional<TcpTransport::Inbound>
+TcpTransport::takeReady(NodeId node, std::optional<int> tag)
+{
+    Node &n = *nodes_[node];
+    MutexLock lock(n.recvMutex);
+    auto it = std::find_if(n.inbound.begin(), n.inbound.end(),
+                           [&](const Inbound &f) {
+                               return !tag || f.tag == *tag;
+                           });
+    if (it == n.inbound.end() || !it->complete())
+        return std::nullopt; // per-tag FIFO: a partial first frame waits
+    Inbound f = std::move(*it);
+    n.inbound.erase(it);
+    if (!f.landing)
+        n.posts.erase(f.tag); // the consumer may now reuse their memory
+    return f;
 }
 
 void
-TcpTransport::rescueStalledStreams(NodeId node)
+TcpTransport::delivered(NodeId node, const Inbound &f, bool in_place)
 {
-    Node &n = *nodes_[node];
-    std::vector<NodeId> starvedDsts;
-    std::uint64_t now = monoNs();
-    {
-        MutexLock lock(n.sendMutex);
-        for (auto &[key, s] : n.streams) {
-            if (!s.stalled || now - s.stallStartNs < stallRescueNs)
-                continue;
-            if (starvedDsts.empty() || starvedDsts.back() != key.first)
-                starvedDsts.push_back(key.first); // map: dsts adjacent
-        }
-    }
-    if (starvedDsts.empty())
-        return;
-    std::set<int> fds;
-    {
-        MutexLock lock(poolMutex_);
-        for (NodeId dst : starvedDsts) {
-            auto it = n.pairFd.find(dst);
-            if (it != n.pairFd.end())
-                fds.insert(it->second);
-        }
-    }
-    if (fds.empty())
-        return;
-    MutexLock lock(n.recvMutex);
-    if (!n.parked.empty())
-        stageParked(node, n, &fds);
+    if (f.src == node || f.len == 0)
+        return; // self-sends and end-of-stream: no wire bytes, no credit
+    TcpMetrics &m = TcpMetrics::get();
+    if (in_place)
+        bump(wire_.recvIntoBytes, m.recvIntoBytes, f.len);
+    else
+        bump(wire_.stagedBytes, m.stagedBytes, f.len);
+    queueGrant(node, f.src, f.tag, f.len);
+}
+
+bool
+TcpTransport::takeMessage(NodeId dst, std::optional<int> tag,
+                          NetMessage &out)
+{
+    std::optional<Inbound> f = takeReady(dst, tag);
+    if (!f)
+        return false;
+    delivered(dst, *f, false);
+    out.src = f->src;
+    out.dst = dst;
+    out.tag = f->tag;
+    if (f->landing)
+        out.payload.assign(f->landing, f->landing + f->len);
+    else
+        out.payload = std::move(f->staged);
+    return true;
 }
 
 bool
 TcpTransport::poll(NodeId dst, NetMessage &out)
 {
-    Node &n = *nodes_[dst];
-    MutexLock lock(n.recvMutex);
-    if (!n.selfBox.empty()) {
-        out = std::move(n.selfBox.front());
-        n.selfBox.pop_front();
-        ++n.recvVersion;
-        return true;
-    }
-    if (!n.staged.empty()) {
-        out = std::move(n.staged.front());
-        n.staged.pop_front();
-        ++n.recvVersion;
-        if (!out.payload.empty())
-            queueGrant(dst, out.src, out.tag,
-                       static_cast<std::uint32_t>(out.payload.size()));
-        return true;
-    }
-    if (!n.parked.empty()) {
-        Parked p = n.parked.front();
-        n.parked.erase(n.parked.begin());
-        ++n.recvVersion;
-        out = NetMessage{p.src, dst, p.tag, {}};
-        if (p.len) {
-            out.payload.resize(p.len);
-            recvParkedPayload(dst, p.src, p.fd, out.payload.data(),
-                              p.len);
-        }
-        epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        if (p.len)
-            queueGrant(dst, p.src, p.tag, p.len);
-        return true;
-    }
-    return false;
+    return takeMessage(dst, std::nullopt, out);
 }
 
 bool
 TcpTransport::pollTag(NodeId dst, int tag, NetMessage &out)
 {
-    Node &n = *nodes_[dst];
-    MutexLock lock(n.recvMutex);
-    for (auto it = n.selfBox.begin(); it != n.selfBox.end(); ++it) {
-        if (it->tag == tag) {
-            out = std::move(*it);
-            n.selfBox.erase(it);
-            ++n.recvVersion;
-            n.lastMiss.erase(tag);
-            return true;
-        }
-    }
-    for (auto it = n.staged.begin(); it != n.staged.end(); ++it) {
-        if (it->tag != tag)
-            continue;
-        out = std::move(*it);
-        n.staged.erase(it);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (!out.payload.empty())
-            queueGrant(dst, out.src, tag,
-                       static_cast<std::uint32_t>(out.payload.size()));
-        return true;
-    }
-    for (std::size_t i = 0; i < n.parked.size(); ++i) {
-        if (n.parked[i].tag != tag)
-            continue;
-        Parked p = n.parked[i];
-        n.parked.erase(n.parked.begin() + i);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        out = NetMessage{p.src, dst, p.tag, {}};
-        if (p.len) {
-            out.payload.resize(p.len);
-            recvParkedPayload(dst, p.src, p.fd, out.payload.data(),
-                              p.len);
-        }
-        epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        if (p.len)
-            queueGrant(dst, p.src, p.tag, p.len);
-        return true;
-    }
-    // Miss. A second miss with no intervening receive-side change
-    // means the consumer is stuck behind parked misfits: stage them
-    // so the connections (which may carry this tag further back)
-    // keep moving.
-    auto mit = n.lastMiss.find(tag);
-    if (mit != n.lastMiss.end() && mit->second == n.recvVersion &&
-        !n.parked.empty())
-        stageParked(dst, n);
-    n.lastMiss[tag] = n.recvVersion;
-    return false;
+    return takeMessage(dst, tag, out);
 }
 
 std::ptrdiff_t
 TcpTransport::pollTagInto(NodeId dst, int tag, const ReserveFn &reserve)
 {
+    std::optional<Inbound> f = takeReady(dst, tag);
+    if (!f)
+        return -1;
+    bool in_place = false;
+    if (f->len) {
+        std::uint8_t *to = reserve(f->len);
+        panicIf(to == nullptr, "pollTagInto: reserve returned null");
+        // The zero-copy receive: the frame landed where the consumer
+        // now wants it. Anything else is one copy, from staging or
+        // from a post the consumer did not reserve.
+        in_place = to == f->landing;
+        if (!in_place)
+            std::memmove(to, f->bytes(), f->len);
+    }
+    delivered(dst, *f, in_place);
+    return static_cast<std::ptrdiff_t>(f->len);
+}
+
+void
+TcpTransport::post(NodeId dst, int tag, std::uint8_t *at,
+                   std::size_t len)
+{
     Node &n = *nodes_[dst];
     MutexLock lock(n.recvMutex);
-    for (auto it = n.selfBox.begin(); it != n.selfBox.end(); ++it) {
-        if (it->tag != tag)
+    n.posts[tag].push_back(Post{at, len});
+}
+
+void
+TcpTransport::unpost(NodeId dst, int tag)
+{
+    Node &n = *nodes_[dst];
+    MutexLock lock(n.recvMutex);
+    n.posts.erase(tag);
+    // The loop writes posted storage only under recvMutex, so moving
+    // what landed (or is landing) to staging frees the storage now.
+    for (Inbound &f : n.inbound) {
+        if (f.tag != tag || !f.landing)
             continue;
-        NetMessage msg = std::move(*it);
-        n.selfBox.erase(it);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (msg.payload.empty())
-            return 0;
-        std::uint8_t *to = reserve(msg.payload.size());
-        panicIf(to == nullptr, "pollTagInto: reserve returned null");
-        std::memcpy(to, msg.payload.data(), msg.payload.size());
-        return static_cast<std::ptrdiff_t>(msg.payload.size());
+        f.staged.assign(f.landing, f.landing + f.got);
+        f.staged.resize(f.len);
+        f.landing = nullptr;
     }
-    for (auto it = n.staged.begin(); it != n.staged.end(); ++it) {
-        if (it->tag != tag)
-            continue;
-        NetMessage msg = std::move(*it);
-        n.staged.erase(it);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (msg.payload.empty())
-            return 0;
-        // Staged delivery: the frame already paid its one staging
-        // copy, so this is not a zero-copy receive — recv_into_bytes
-        // intentionally excludes it.
-        std::uint8_t *to = reserve(msg.payload.size());
-        panicIf(to == nullptr, "pollTagInto: reserve returned null");
-        std::memcpy(to, msg.payload.data(), msg.payload.size());
-        queueGrant(dst, msg.src, tag,
-                   static_cast<std::uint32_t>(msg.payload.size()));
-        return static_cast<std::ptrdiff_t>(msg.payload.size());
-    }
-    for (std::size_t i = 0; i < n.parked.size(); ++i) {
-        if (n.parked[i].tag != tag)
-            continue;
-        Parked p = n.parked[i];
-        n.parked.erase(n.parked.begin() + i);
-        ++n.recvVersion;
-        n.lastMiss.erase(tag);
-        if (p.len == 0) {
-            // End-of-stream marker: reserve untouched.
-            epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-            return 0;
-        }
-        // The zero-copy handoff: recv() straight into caller-posted
-        // storage (old-gen chunk space on the Skyway receive path).
-        std::uint8_t *to = reserve(p.len);
-        panicIf(to == nullptr, "pollTagInto: reserve returned null");
-        recvParkedPayload(dst, p.src, p.fd, to, p.len);
-        wire_.recvIntoBytes.fetch_add(p.len,
-                                      std::memory_order_relaxed);
-        TcpMetrics::get().recvIntoBytes.add(p.len);
-        epollAdd(dst, packToken(FdKind::Pair, p.src, p.fd), p.fd);
-        queueGrant(dst, p.src, p.tag, p.len);
-        return static_cast<std::ptrdiff_t>(p.len);
-    }
-    auto mit = n.lastMiss.find(tag);
-    if (mit != n.lastMiss.end() && mit->second == n.recvVersion &&
-        !n.parked.empty())
-        stageParked(dst, n);
-    n.lastMiss[tag] = n.recvVersion;
-    return -1;
 }
 
 void
@@ -971,79 +599,35 @@ TcpTransport::request(NodeId src, NodeId dst, int tag,
     }
 
     Node &n = *nodes_[src];
-    Mutex *pair;
-    {
-        MutexLock lock(n.ctrlMutex);
-        auto &slot = n.ctrlPair[dst];
-        if (!slot)
-            slot = std::make_unique<Mutex>();
-        pair = slot.get();
-    }
-    // One request in flight per (src, dst) pair: the shared control
-    // connection carries strict request/reply exchanges. Held across
-    // the round trip BY DESIGN — it is the exchange discipline, not
-    // incidental locking (lint rule 2 allowlists this site).
-    MutexLock exchange(*pair);
-
     for (int attempt = 0; attempt <= opts.maxRetries; ++attempt) {
-        if (attempt > 0) {
-            wire_.connectRetries.fetch_add(1,
-                                           std::memory_order_relaxed);
-            TcpMetrics::get().connectRetries.inc();
-        }
-        int fd;
-        std::uint32_t req_id;
+        if (attempt > 0)
+            bump(wire_.connectRetries, TcpMetrics::get().connectRetries);
+        std::uint32_t req_id = 0;
         {
-            MutexLock lock(n.ctrlMutex);
-            fd = ctrlConnFor(n, src, dst);
+            MutexLock lock(n.replyMutex);
             req_id = n.nextReqId++;
+            n.replies.emplace(req_id, std::nullopt);
         }
+        TxFrame f{dst, {}, frame::requestPayload(req_id, payload)};
+        frame::encodeMuxHeader(
+            f.header,
+            frame::MuxHeader{frame::kindRequest, src, tag,
+                             static_cast<std::uint32_t>(f.payload.size())});
+        queueUncredited(src, std::move(f));
 
-        frame::ControlHeader h{
-            frame::kindRequest, src, tag, req_id,
-            static_cast<std::uint32_t>(payload.size())};
-        std::uint8_t hdr[frame::controlHeaderBytes];
-        frame::encodeControlHeader(hdr, h);
-        writeTimed(fd, hdr, sizeof(hdr));
-        if (!payload.empty())
-            writeTimed(fd, payload.data(), payload.size());
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
-
-        // Wait out the reply, discarding stale replies from earlier
-        // timed-out attempts by request id.
-        Stopwatch sw;
-        while (true) {
-            std::uint64_t spent_ms = sw.elapsedNs() / 1'000'000;
-            if (spent_ms >= opts.timeoutMs)
-                break; // timeout: resend (bounded)
-            pollfd p{fd, POLLIN, 0};
-            int rc = ::poll(&p, 1,
-                            static_cast<int>(opts.timeoutMs -
-                                             spent_ms));
-            if (rc < 0 && errno == EINTR)
-                continue;
-            if (rc <= 0)
-                break;
-            std::uint8_t rhdr[frame::controlHeaderBytes];
-            if (!recvFully(fd, rhdr, sizeof(rhdr))) {
-                // Peer dropped the connection: reconnect and resend.
-                MutexLock lock(n.ctrlMutex);
-                ::close(fd);
-                n.ctrlOut.erase(dst);
-                break;
-            }
-            frame::ControlHeader r = frame::decodeControlHeader(rhdr);
-            panicIf(r.kind != frame::kindReply,
-                    "TcpTransport: unexpected frame on control reply "
-                    "path");
-            std::vector<std::uint8_t> reply(r.len);
-            if (r.len)
-                recvFully(fd, reply.data(), r.len);
-            if (r.reqId != req_id)
-                continue; // stale reply from a resent attempt
-            return reply;
+        // Wait out the reply. A reply to an earlier, timed-out
+        // attempt finds its slot gone and the loop drops it.
+        auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(opts.timeoutMs);
+        MutexLock lock(n.replyMutex);
+        auto it = n.replies.find(req_id);
+        while (!it->second && n.replyCv.waitUntil(lock, deadline)) {
         }
+        std::optional<std::vector<std::uint8_t>> reply =
+            std::move(it->second);
+        n.replies.erase(it);
+        if (reply)
+            return std::move(*reply);
     }
     panic("TcpTransport: request to node " + std::to_string(dst) +
           " timed out after " + std::to_string(opts.maxRetries) +
@@ -1064,38 +648,37 @@ TcpTransport::acceptPending(NodeId node)
             sysErr("accept");
         }
         setNoDelay(fd);
+        // The connecting side sends its handshake right after
+        // connect(), so this wait is bounded; a peer that hangs up
+        // before a whole handshake is dropped.
         std::uint8_t buf[frame::handshakeBytes];
-        if (!recvFully(fd, buf, sizeof(buf))) {
+        if (::recv(fd, buf, sizeof(buf), MSG_WAITALL) !=
+            static_cast<ssize_t>(sizeof(buf))) {
             ::close(fd);
             continue;
         }
         frame::Handshake h{};
         if (!frame::decodeHandshake(buf, h))
             panic("TcpTransport: bad handshake magic");
+        panicIf(h.channel != frame::channelData,
+                "TcpTransport: unknown handshake channel");
         panicIf(h.src < 0 || h.src >= nodeCount_,
                 "TcpTransport: handshake from out-of-range node id");
-        if (h.channel == frame::channelData) {
-            {
-                MutexLock lock(poolMutex_);
-                if (n.pairFd.count(h.src) != 0)
-                    panic("TcpTransport: duplicate pair connection "
-                          "from node " + std::to_string(h.src));
-                n.pairFd.emplace(h.src, fd);
-                PairEntry &e = pool_[pairKey(node, h.src)];
-                if (!e.claimed) {
-                    // An externally initiated connection (tests):
-                    // count it like a claim would have.
-                    e.claimed = true;
-                    wire_.connectionsPooled.fetch_add(
-                        1, std::memory_order_relaxed);
-                    TcpMetrics::get().pooledConnections.add(1);
-                }
+        {
+            MutexLock lock(poolMutex_);
+            if (n.pairFd.count(h.src) != 0)
+                panic("TcpTransport: duplicate pair connection "
+                      "from node " + std::to_string(h.src));
+            n.pairFd.emplace(h.src, fd);
+            if (pool_.insert(pairKey(node, h.src)).second) {
+                // An externally initiated connection (tests): count
+                // it like a claim would have.
+                wire_.connectionsPooled.fetch_add(
+                    1, std::memory_order_relaxed);
+                TcpMetrics::get().pooledConnections.add(1);
             }
-            epollAdd(node, packToken(FdKind::Pair, h.src, fd), fd);
-        } else {
-            n.ctrlIn.push_back(fd);
-            epollAdd(node, packToken(FdKind::Ctrl, h.src, fd), fd);
         }
+        epollAdd(node, packToken(FdKind::Pair, h.src, fd), fd);
     }
 }
 
@@ -1103,149 +686,162 @@ void
 TcpTransport::dropPair(NodeId node, NodeId peer, int fd)
 {
     Node &n = *nodes_[node];
-    n.hdrPartial.erase(fd);
-    {
-        // Erase the write queue before close so a concurrent
-        // help-flush cannot land on a reused fd number.
-        MutexLock lock(n.outMutex);
-        n.outbound.erase(fd);
-    }
+    n.rx.erase(fd);
+    n.outbound.erase(fd);
     ::close(fd); // also removes it from the epoll set
-    MutexLock lock(poolMutex_);
-    auto it = n.pairFd.find(peer);
-    if (it != n.pairFd.end() && it->second == fd)
-        n.pairFd.erase(it);
-    if (pool_.erase(pairKey(node, peer)))
-        TcpMetrics::get().pooledConnections.add(-1);
+    {
+        MutexLock lock(poolMutex_);
+        auto it = n.pairFd.find(peer);
+        if (it != n.pairFd.end() && it->second == fd)
+            n.pairFd.erase(it);
+        if (pool_.erase(pairKey(node, peer)))
+            TcpMetrics::get().pooledConnections.add(-1);
+    }
+    // The peer may hold frames for us that found the pair claimed
+    // (by the connection that just went) and wait for it to free up:
+    // that is now, so wake its loop to claim a fresh connection.
+    wakeLoop(peer);
 }
 
 bool
-TcpTransport::serveControl(NodeId node, int fd)
+TcpTransport::startFrame(NodeId node, NodeId peer, RxConn &rx)
 {
-    std::uint8_t hdr[frame::controlHeaderBytes];
-    if (!recvFully(fd, hdr, sizeof(hdr)))
-        return false;
-    frame::ControlHeader h = frame::decodeControlHeader(hdr);
-    panicIf(h.kind != frame::kindRequest,
-            "TcpTransport: unexpected frame kind on control inbound");
-    std::vector<std::uint8_t> payload(h.len);
-    if (h.len)
-        recvFully(fd, payload.data(), h.len);
+    Node &n = *nodes_[node];
+    frame::MuxHeader h = frame::decodeMuxHeader(rx.hdr);
+    rx.h = h;
+    panicIf(h.origin != peer,
+            "TcpTransport: mux frame origin does not match peer");
+    switch (h.kind) {
+      case frame::kindCredit: {
+          MutexLock lock(n.sendMutex);
+          auto it = n.streams.find(std::make_pair(peer, h.tag));
+          if (it == n.streams.end())
+              return false; // grant for a stream we no longer track
+          TxStream &s = it->second;
+          s.credit += h.arg;
+          if (s.stalled && s.credit > 0) {
+              s.stalled = false;
+              bump(wire_.creditStallsNs, TcpMetrics::get().creditStallsNs,
+                   s.stall.elapsedNs());
+          }
+          return false; // the loop drains sends after the event batch
+      }
+      case frame::kindStream: {
+          MutexLock lock(n.recvMutex);
+          std::uint8_t *landing = nullptr;
+          // Land in the tag's next post when the frame fits and no
+          // frame of the tag waits outside posted storage: that
+          // frame's delivery hands the consumer the post's memory.
+          auto pit = n.posts.find(h.tag);
+          if (h.arg && pit != n.posts.end() &&
+              pit->second.front().len >= h.arg &&
+              std::none_of(n.inbound.begin(), n.inbound.end(),
+                           [&](const Inbound &f) {
+                               return f.tag == h.tag && !f.landing;
+                           })) {
+              landing = pit->second.front().at;
+              pit->second.pop_front();
+              if (pit->second.empty())
+                  n.posts.erase(pit);
+          }
+          rx.frame = n.inbound.insert(
+              n.inbound.end(), Inbound{peer, h.tag, h.arg, 0, landing, {}});
+          if (!landing)
+              rx.frame->staged.resize(h.arg);
+          return h.arg != 0;
+      }
+      case frame::kindRequest:
+      case frame::kindReply:
+        panicIf(h.arg < frame::reqIdBytes,
+                "TcpTransport: request frame without a request id");
+        rx.body.resize(h.arg);
+        rx.bodyGot = 0;
+        return true;
+    }
+    panic("TcpTransport: unexpected mux frame kind");
+}
 
+void
+TcpTransport::finishRequestFrame(NodeId node, NodeId peer, RxConn &rx)
+{
+    Node &n = *nodes_[node];
+    std::uint32_t req_id = frame::getU32(rx.body.data());
+    std::vector<std::uint8_t> body(
+        rx.body.begin() + frame::reqIdBytes, rx.body.end());
+    if (rx.h.kind == frame::kindReply) {
+        MutexLock lock(n.replyMutex);
+        auto it = n.replies.find(req_id);
+        if (it == n.replies.end())
+            return; // stale reply to an attempt that timed out
+        it->second = std::move(body);
+        n.replyCv.notify_all();
+        return;
+    }
     RequestHandler handler;
     {
         MutexLock lock(handlerMutex_);
         handler = handlers_[node];
     }
     panicIf(!handler, "request: node has no registered handler");
-    std::vector<std::uint8_t> reply = handler(h.src, h.tag, payload);
-
-    frame::ControlHeader r{
-        frame::kindReply, node, h.tag, h.reqId,
-        static_cast<std::uint32_t>(reply.size())};
-    std::uint8_t rhdr[frame::controlHeaderBytes];
-    frame::encodeControlHeader(rhdr, r);
-    writeTimed(fd, rhdr, sizeof(rhdr));
-    if (!reply.empty())
-        writeTimed(fd, reply.data(), reply.size());
-    wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-    TcpMetrics::get().framesSent.inc();
-    return true;
+    TxFrame f{peer, {}, frame::requestPayload(req_id,
+                                              handler(peer, rx.h.tag,
+                                                      body))};
+    frame::encodeMuxHeader(
+        f.header,
+        frame::MuxHeader{frame::kindReply, node, rx.h.tag,
+                         static_cast<std::uint32_t>(f.payload.size())});
+    MutexLock lock(n.sendMutex);
+    n.uncredited.push_back(std::move(f)); // this loop drains it next
 }
 
 void
 TcpTransport::handlePairReadable(NodeId node, NodeId peer, int fd)
 {
     Node &n = *nodes_[node];
-    // Reassemble the header without blocking: TCP has no message
-    // boundaries, so a level-triggered EPOLLIN may expose only part
-    // of the 13 bytes — blocking on the remainder would couple the
-    // loop's liveness to peer behavior. A partial header persists in
-    // hdrPartial; EPOLLIN re-fires when more bytes arrive.
-    HdrBuf &hb = n.hdrPartial[fd];
-    while (hb.got < frame::muxHeaderBytes) {
-        ssize_t r = ::recv(fd, hb.bytes + hb.got,
-                           frame::muxHeaderBytes - hb.got,
-                           MSG_DONTWAIT);
-        if (r > 0) {
-            hb.got += static_cast<std::size_t>(r);
+    RxConn &rx = n.rx[fd];
+    // Read until the socket runs dry, whether or not anyone is
+    // polling: TCP has no message boundaries, so a header or payload
+    // may arrive in pieces; the rest resumes on the next EPOLLIN.
+    while (true) {
+        if (rx.hdrGot < frame::muxHeaderBytes) {
+            ssize_t r = recvSome(fd, rx.hdr + rx.hdrGot,
+                                 frame::muxHeaderBytes - rx.hdrGot);
+            if (r == 0) {
+                panicIf(rx.hdrGot != 0, "peer closed mid-frame");
+                dropPair(node, peer, fd);
+                return;
+            }
+            if (r < 0)
+                return;
+            rx.hdrGot += static_cast<std::size_t>(r);
+            if (rx.hdrGot == frame::muxHeaderBytes &&
+                !startFrame(node, peer, rx))
+                rx.hdrGot = 0; // header-only frame: done
             continue;
         }
-        if (r == 0) {
-            panicIf(hb.got != 0, "peer closed mid-frame");
-            dropPair(node, peer, fd);
+        ssize_t r = 0;
+        bool done = false;
+        if (rx.h.kind == frame::kindStream) {
+            MutexLock lock(n.recvMutex);
+            Inbound &f = *rx.frame;
+            r = recvSome(fd, f.bytes() + f.got, f.len - f.got);
+            if (r > 0)
+                f.got += static_cast<std::uint32_t>(r);
+            done = f.complete();
+        } else {
+            r = recvSome(fd, rx.body.data() + rx.bodyGot,
+                         rx.body.size() - rx.bodyGot);
+            if (r > 0)
+                rx.bodyGot += static_cast<std::size_t>(r);
+            done = rx.bodyGot == rx.body.size();
+            if (done)
+                finishRequestFrame(node, peer, rx);
+        }
+        panicIf(r == 0, "peer closed mid-frame");
+        if (r < 0)
             return;
-        }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            return; // partial header parked in hb
-        sysErr("recv");
-    }
-    hb.got = 0; // consumed: ready for this connection's next header
-    frame::MuxHeader h = frame::decodeMuxHeader(hb.bytes);
-    if (h.kind == frame::kindCredit) {
-        MutexLock lock(n.sendMutex);
-        auto it = n.streams.find(std::make_pair(peer, h.tag));
-        if (it == n.streams.end())
-            return; // grant for a stream we no longer track
-        TxStream &s = it->second;
-        s.credit += h.arg;
-        if (s.stalled && s.credit > 0) {
-            s.stalled = false;
-            std::uint64_t ns = monoNs() - s.stallStartNs;
-            wire_.creditStallsNs.fetch_add(ns,
-                                           std::memory_order_relaxed);
-            TcpMetrics::get().creditStallsNs.add(ns);
-        }
-        return; // the loop drains sends right after the event batch
-    }
-    panicIf(h.kind != frame::kindStream,
-            "TcpTransport: unexpected mux frame kind");
-    panicIf(h.origin != peer,
-            "TcpTransport: mux frame origin does not match peer");
-    // Park the frame: payload stays in the kernel until a consumer
-    // claims it (zero-copy) or staging relieves head-of-line.
-    MutexLock lock(n.recvMutex);
-    epollDel(node, fd);
-    n.parked.push_back(Parked{fd, peer, h.tag, h.arg});
-    ++n.recvVersion;
-    {
-        // Deleting the registration dropped EPOLLOUT with it; the
-        // claim re-adds EPOLLIN only, so record the truth and let
-        // flushPairWrites re-arm once the fd is back in the set.
-        MutexLock olock(n.outMutex);
-        auto it = n.outbound.find(fd);
-        if (it != n.outbound.end())
-            it->second.armed = false;
-    }
-}
-
-void
-TcpTransport::drainGrants(NodeId node)
-{
-    Node &n = *nodes_[node];
-    std::deque<Grant> pending;
-    {
-        MutexLock lock(n.sendMutex);
-        pending.swap(n.grants);
-    }
-    for (const Grant &g : pending) {
-        int fd = -1;
-        {
-            MutexLock lock(poolMutex_);
-            auto it = n.pairFd.find(g.peer);
-            if (it != n.pairFd.end())
-                fd = it->second;
-        }
-        if (fd < 0)
-            continue; // peer connection gone; its streams died too
-        frame::MuxHeader h{frame::kindCredit, node, g.tag, g.bytes};
-        std::uint8_t hdr[frame::muxHeaderBytes];
-        frame::encodeMuxHeader(hdr, h);
-        sendOrQueue(n, g.peer, fd, hdr, sizeof(hdr));
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
+        if (done)
+            rx.hdrGot = 0;
     }
 }
 
@@ -1254,31 +850,47 @@ TcpTransport::drainSends(NodeId node)
 {
     Node &n = *nodes_[node];
 
-    // Destinations with anything queued, sampled under the lock...
-    std::vector<NodeId> dsts;
+    // Credit-exempt frames, and the destinations of every stream with
+    // anything queued, sampled under the lock...
+    std::deque<TxFrame> uncredited;
+    std::set<NodeId> dsts;
     {
         MutexLock lock(n.sendMutex);
+        uncredited.swap(n.uncredited);
         for (auto &[key, s] : n.streams) {
-            if (!s.queue.empty() &&
-                (dsts.empty() || dsts.back() != key.first))
-                dsts.push_back(key.first);
+            if (!s.queue.empty())
+                dsts.insert(key.first);
         }
     }
+    for (const TxFrame &f : uncredited)
+        dsts.insert(f.peer);
     if (dsts.empty())
         return;
 
     // ...then pair fds resolved outside it (establishment may block
-    // on connect); -1 = peer mid-connect, skip until our accept.
+    // on connect); -1 = pair held elsewhere, skip until our accept or
+    // a drop's wake re-runs this.
     std::map<NodeId, int> fds;
     for (NodeId dst : dsts)
         fds[dst] = pairFdOrClaim(node, dst);
 
-    // Pop every frame the credit windows allow, in per-stream FIFO
-    // order, then write outside the lock.
-    std::vector<TxFrame> batch;
-    bool popped = false;
+    // Credit-exempt frames first, then every stream frame the credit
+    // windows allow, in per-stream FIFO order; written outside the
+    // lock.
+    std::vector<std::pair<int, TxFrame>> batch;
+    std::deque<TxFrame> later;
+    for (TxFrame &f : uncredited) {
+        int fd = fds[f.peer];
+        if (fd < 0)
+            later.push_back(std::move(f));
+        else
+            batch.emplace_back(fd, std::move(f));
+    }
     {
         MutexLock lock(n.sendMutex);
+        n.uncredited.insert(n.uncredited.begin(),
+                            std::make_move_iterator(later.begin()),
+                            std::make_move_iterator(later.end()));
         for (auto &[key, s] : n.streams) {
             auto fit = fds.find(key.first);
             if (fit == fds.end() || fit->second < 0)
@@ -1287,90 +899,60 @@ TcpTransport::drainSends(NodeId node)
                 std::vector<std::uint8_t> &front = s.queue.front();
                 if (front.empty()) {
                     // End of stream: no payload, no credit needed.
-                    TxFrame tx;
-                    tx.fd = fit->second;
-                    tx.peer = key.first;
-                    frame::MuxHeader h{frame::kindStream, node,
-                                       key.second, 0};
-                    frame::encodeMuxHeader(tx.header, h);
-                    batch.push_back(std::move(tx));
-                    s.queue.pop_front();
                     s.active = false;
                     TcpMetrics::get().streamsActive.add(-1);
-                    popped = true;
-                    continue;
-                }
-                if (s.credit <= 0) {
+                } else if (s.credit <= 0) {
                     if (!s.stalled) {
                         s.stalled = true;
-                        s.stallStartNs = monoNs();
+                        s.stall.reset();
                     }
                     break; // later frames wait behind the head (FIFO)
                 }
                 s.credit -= static_cast<std::int64_t>(front.size());
-                s.queuedBytes -= front.size();
-                TxFrame tx;
-                tx.fd = fit->second;
-                tx.peer = key.first;
-                frame::MuxHeader h{
-                    frame::kindStream, node, key.second,
-                    static_cast<std::uint32_t>(front.size())};
-                frame::encodeMuxHeader(tx.header, h);
-                tx.payload = std::move(front);
-                batch.push_back(std::move(tx));
+                TxFrame tx{key.first, {}, std::move(front)};
+                frame::encodeMuxHeader(
+                    tx.header,
+                    frame::MuxHeader{
+                        frame::kindStream, node, key.second,
+                        static_cast<std::uint32_t>(tx.payload.size())});
+                batch.emplace_back(fit->second, std::move(tx));
                 s.queue.pop_front();
-                popped = true;
             }
         }
     }
-    if (popped)
-        n.sendCv.notify_all();
 
-    for (TxFrame &tx : batch) {
+    for (auto &[fd, tx] : batch) {
         // Non-blocking: what the socket refuses queues per
         // connection, so a full peer buffer can never wedge this
-        // loop against another node's (the old write-write cycle).
-        sendOrQueue(n, tx.peer, tx.fd, tx.header, sizeof(tx.header));
+        // loop against another node's.
+        sendOrQueue(n, tx.peer, fd, tx.header, sizeof(tx.header));
         if (!tx.payload.empty())
-            sendOrQueue(n, tx.peer, tx.fd, tx.payload.data(),
+            sendOrQueue(n, tx.peer, fd, tx.payload.data(),
                         tx.payload.size());
-        wire_.framesSent.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().framesSent.inc();
+        bump(wire_.framesSent, TcpMetrics::get().framesSent);
     }
 }
 
 void
 TcpTransport::eventLoop(NodeId node)
 {
-    if (options_.pinEventLoops) {
-        unsigned hw = std::thread::hardware_concurrency();
-        if (hw > 0) {
-            cpu_set_t set;
-            CPU_ZERO(&set);
-            CPU_SET(static_cast<unsigned>(node) % hw, &set);
-            ::pthread_setaffinity_np(::pthread_self(), sizeof(set),
-                                     &set);
-        }
-    }
-
     Node &n = *nodes_[node];
     while (running_.load(std::memory_order_relaxed)) {
-        drainGrants(node);
         drainSends(node);
         flushPairWrites(node);
-        rescueStalledStreams(node);
 
+        // No timeout: everything the loop acts on — a queued frame,
+        // a pair the peer dropped, or shutdown (the wake eventfd), an
+        // arriving frame, a writable socket, a connecting peer — is
+        // an event.
         epoll_event evs[64];
-        int rc = ::epoll_wait(n.epollFd, evs, 64, loopWaitMs);
+        int rc = ::epoll_wait(n.epollFd, evs, 64, -1);
         if (rc < 0) {
             if (errno == EINTR)
                 continue;
             sysErr("epoll_wait");
         }
-        if (rc == 0)
-            continue;
-        wire_.epollWakeups.fetch_add(1, std::memory_order_relaxed);
-        TcpMetrics::get().epollWakeups.inc();
+        bump(wire_.epollWakeups, TcpMetrics::get().epollWakeups);
 
         for (int i = 0; i < rc; ++i) {
             std::uint64_t token = evs[i].data.u64;
@@ -1380,9 +962,9 @@ TcpTransport::eventLoop(NodeId node)
             NodeId peer = static_cast<NodeId>((token >> 32) & 0xFFFFFF);
             switch (kind) {
               case FdKind::Wake: {
-                  std::uint8_t buf[64];
-                  while (::read(n.wakeRead, buf, sizeof(buf)) > 0) {
-                  }
+                  std::uint64_t count = 0;
+                  ssize_t r = ::read(n.wakeFd, &count, sizeof(count));
+                  (void)r; // reset; the wakeup itself was the message
                   break;
               }
               case FdKind::Listen:
@@ -1393,13 +975,6 @@ TcpTransport::eventLoop(NodeId node)
                     flushPairWrites(node);
                 if (evs[i].events & (EPOLLIN | EPOLLHUP | EPOLLERR))
                     handlePairReadable(node, peer, fd);
-                break;
-              case FdKind::Ctrl:
-                if (!serveControl(node, fd)) {
-                    ::close(fd); // close also leaves the epoll set
-                    n.ctrlIn.erase(std::find(n.ctrlIn.begin(),
-                                             n.ctrlIn.end(), fd));
-                }
                 break;
             }
         }

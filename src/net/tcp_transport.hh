@@ -10,55 +10,44 @@
  *
  * Topology:
  *
- *  - Data plane: exactly ONE connection per unordered node pair,
- *    established lazily by whichever side sends first (a transport-
- *    wide pool arbitrates so a cross in the race still yields one
- *    connection — `net.pooled_connections` gauges the pool). Every
- *    (src, dst, tag) stream between the two nodes is multiplexed
- *    onto that connection as tagged, length-prefixed mux frames, so
- *    an N-node all-to-all costs N·(N−1)/2 sockets instead of the old
- *    per-stream N²·tags.
+ *  - One connection per unordered node pair, established lazily by
+ *    whichever side sends first (a transport-wide pool arbitrates so
+ *    a cross in the race still yields one connection —
+ *    `net.pooled_connections` gauges the pool). Every (src, dst, tag)
+ *    stream between the two nodes, their credit grants, and request/
+ *    reply exchanges are multiplexed onto it as tagged, length-
+ *    prefixed mux frames, so an N-node all-to-all costs N·(N−1)/2
+ *    sockets.
  *
- *  - Demultiplexing: the owning node's event loop reads only frame
- *    *headers*. A data frame is "parked" — the fd leaves the epoll
- *    set with the payload still unread in the kernel — until a
- *    consumer claims it: pollTagInto() then recv()s the payload
- *    *directly into ReserveFn-posted storage* (old-gen chunk space on
- *    the Skyway receive path), which is how the zero-copy handoff
- *    survives multiplexing (`net.recv_into_bytes` counts exactly
- *    these bytes). A consumer that insists on a tag the parked
- *    frames don't carry forces the misfits into a staging buffer
- *    (one copy) so the connection behind them keeps moving — see
- *    docs/TRANSPORT.md §5 for the head-of-line rules.
+ *  - Always-draining receive: the owning node's event loop reads
+ *    whole frames off its pair sockets whether or not a consumer is
+ *    waiting. A stream frame lands in storage its consumer posted
+ *    ahead for that (dst, tag) — the RX-ring shape: the Skyway
+ *    receive path posts old-gen chunk space — and otherwise in a
+ *    staging buffer. pollTagInto() takes a landed frame in place
+ *    (`net.recv_into_bytes`) and copies a staged one
+ *    (`net.staged_bytes`). Because the socket never holds an unread
+ *    payload, grants, requests and other streams' frames are never
+ *    stuck behind one.
  *
  *  - Backpressure: per-stream byte credit. A sender's event loop
  *    writes a stream's frames only while the stream has window left;
  *    receivers grant credit back as payloads are delivered to
  *    consumers. A slow receiver therefore stalls the one stream
- *    (`net.credit_stalls_ns`) instead of ballooning sender memory.
- *    Because pair connections are full-duplex, the grant that would
- *    unstall a stream can arrive *behind* a parked inbound data
- *    frame on the same socket; a stream stalled past a rescue
- *    threshold forces that connection's parked frames into the
- *    staging buffer so the grant becomes readable (TRANSPORT.md §5).
+ *    (`net.credit_stalls_ns`), and what it stages per stream is
+ *    bounded by the window.
  *
  *  - Loop liveness: the event loop NEVER blocks on a pair socket.
  *    Writes go through a per-connection outbound byte queue drained
  *    with MSG_DONTWAIT (EPOLLOUT is armed while bytes remain), and
- *    inbound mux headers are reassembled non-blockingly across
- *    partial arrivals — so two nodes flooding each other (or a
- *    write cycle A->B->C->A) can never wedge the loops against full
- *    socket buffers (TRANSPORT.md §4). A consumer claiming a parked
- *    payload whose bytes still sit in the peer's outbound queue
- *    pumps that queue itself (the whole fabric is one process), so
- *    claims cannot deadlock against a loop that is waiting on the
- *    claimer's own recvMutex.
+ *    reads take what the socket has, resuming a partial header or
+ *    payload on the next readiness event — so two nodes flooding each
+ *    other can never wedge the loops against full socket buffers.
  *
- *  - Control plane: unchanged request/reply connections per (src,
- *    dst) direction for the blocking request() round trip (the
- *    type-registry LOOKUP daemon), served by the destination's event
- *    loop, with timeout/resend and stale-reply filtering by request
- *    id — handlers on this path must be idempotent.
+ *  - Requests: request() queues a request frame (exempt from credit)
+ *    for its node's loop and waits for the reply frame with the same
+ *    request id, resending on timeout; the destination's loop runs
+ *    the handler and queues the reply. Handlers must be idempotent.
  *
  * poll/pollTag/pollTagInto are non-blocking probes exactly like the
  * model transport's: "false / -1" means nothing has *arrived yet*,
@@ -70,13 +59,16 @@
 #define SKYWAY_NET_TCP_TRANSPORT_HH
 
 #include <deque>
+#include <list>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "net/frame.hh"
 #include "net/transport.hh"
+#include "support/stopwatch.hh"
 #include "support/thread_annotations.hh"
 
 namespace skyway
@@ -100,6 +92,9 @@ class TcpTransport final : public Transport
     bool pollTag(NodeId dst, int tag, NetMessage &out) override;
     std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                const ReserveFn &reserve) override;
+    void post(NodeId dst, int tag, std::uint8_t *at,
+              std::size_t len) override;
+    void unpost(NodeId dst, int tag) override;
     void registerHandler(NodeId node, RequestHandler handler) override;
     std::vector<std::uint8_t>
     request(NodeId src, NodeId dst, int tag,
@@ -110,19 +105,32 @@ class TcpTransport final : public Transport
     std::uint16_t listenPort(NodeId node) const;
 
   private:
-    /**
-     * A data frame whose header the event loop has read: the fd has
-     * left the epoll set and the payload's @p len bytes are still
-     * unread in the kernel, waiting for a consumer to claim them
-     * (zero-copy) or stage them (head-of-line relief).
-     */
-    struct Parked
+    /** Storage a consumer posted for one frame of a tag. */
+    struct Post
     {
-        int fd;
+        std::uint8_t *at;
+        std::size_t len;
+    };
+
+    /**
+     * One stream frame addressed to this node, queued in header-
+     * arrival order (self-sends included). Its payload lands in
+     * posted storage (@p landing) or in @p staged; it can be
+     * delivered once all @p len bytes arrived.
+     */
+    struct Inbound
+    {
         NodeId src;
         int tag;
         std::uint32_t len;
+        std::uint32_t got;
+        std::uint8_t *landing;
+        std::vector<std::uint8_t> staged;
+
+        bool complete() const { return got == len; }
+        std::uint8_t *bytes() { return landing ? landing : staged.data(); }
     };
+    using InboundList = std::list<Inbound>;
 
     /**
      * Send-side state of one (this node -> dst, tag) stream: queued
@@ -134,22 +142,22 @@ class TcpTransport final : public Transport
     struct TxStream
     {
         std::deque<std::vector<std::uint8_t>> queue;
-        std::size_t queuedBytes = 0;
         /** May go negative transiently: a frame is written whole once
          *  any window remains. */
         std::int64_t credit = 0;
         bool stalled = false;
-        std::uint64_t stallStartNs = 0;
+        /** Running since the stream stalled. */
+        Stopwatch stall;
         /** True between first frame queued and EOS written. */
         bool active = false;
     };
 
-    /** A pending credit grant this node's loop owes a peer. */
-    struct Grant
+    /** One frame ready to write toward @p peer. */
+    struct TxFrame
     {
         NodeId peer;
-        int tag;
-        std::uint32_t bytes;
+        std::uint8_t header[frame::muxHeaderBytes];
+        std::vector<std::uint8_t> payload;
     };
 
     /**
@@ -157,24 +165,31 @@ class TcpTransport final : public Transport
      * written only with MSG_DONTWAIT; whatever it refuses queues here
      * (off = consumed prefix), so the event loop never blocks in
      * send(2). Bounded by the credit windows of the streams sharing
-     * the connection plus the (tiny) grant frames.
+     * the connection plus the (small) credit-exempt frames.
      */
     struct OutBuf
     {
         NodeId peer = 0;
         std::vector<std::uint8_t> bytes;
         std::size_t off = 0;
-        /** EPOLLOUT currently registered for this fd (loop-owned —
-         *  cleared when parking removes the registration). */
+        /** EPOLLOUT currently registered for this fd. */
         bool armed = false;
     };
 
-    /** Partial inbound mux header of one pair connection: a level-
-     *  triggered EPOLLIN may expose fewer than the full 13 bytes. */
-    struct HdrBuf
+    /**
+     * Receive state of one pair connection: the mux header being
+     * reassembled (a readiness event may expose only part of it),
+     * then the frame whose payload is arriving — a stream frame's
+     * Inbound entry, or a request/reply @p body.
+     */
+    struct RxConn
     {
-        std::uint8_t bytes[frame::muxHeaderBytes];
-        std::size_t got = 0;
+        std::uint8_t hdr[frame::muxHeaderBytes];
+        std::size_t hdrGot = 0;
+        frame::MuxHeader h{};
+        InboundList::iterator frame;
+        std::vector<std::uint8_t> body;
+        std::size_t bodyGot = 0;
     };
 
     /** Everything one node owns. */
@@ -184,35 +199,33 @@ class TcpTransport final : public Transport
         std::uint16_t port = 0;
         int epollFd = -1;
 
-        /** Wakes the loop out of epoll_wait (self-pipe). */
-        int wakeRead = -1;
-        int wakeWrite = -1;
+        /** Wakes the loop out of epoll_wait (an eventfd). */
+        int wakeFd = -1;
 
         /**
-         * Receive side, shared between the loop (parks frames) and
-         * consumer threads (claim parked frames, stage misfits):
-         * local deliveries, staged copies, parked frames, and the
-         * per-tag miss tracking that decides when staging is forced.
-         * Lock order: recvMutex may be held while taking sendMutex
-         * (grant queuing), poolMutex_ and a peer's outMutex (the
-         * help-flush chain) — never the reverse.
+         * Receive side, shared between the loop (lands and stages
+         * frames, holding the lock while it writes into posted
+         * storage) and consumer threads (take frames, post storage).
+         * No other lock is ever taken while one of the transport's
+         * locks is held.
          */
         Mutex recvMutex;
-        std::deque<NetMessage> selfBox GUARDED_BY(recvMutex);
-        std::deque<NetMessage> staged GUARDED_BY(recvMutex);
-        std::vector<Parked> parked GUARDED_BY(recvMutex);
-        /** Bumped whenever parked/staged state changes; a tag that
-         *  misses twice at the same version forces staging. */
-        std::uint64_t recvVersion GUARDED_BY(recvMutex) = 0;
-        std::map<int, std::uint64_t> lastMiss GUARDED_BY(recvMutex);
+        InboundList inbound GUARDED_BY(recvMutex);
+        std::map<int, std::deque<Post>> posts GUARDED_BY(recvMutex);
 
         /** Send side: per-stream queues drained by this node's loop,
-         *  plus credit grants owed to peers. */
+         *  plus credit-exempt frames (grants, requests, replies). */
         Mutex sendMutex;
-        CondVar sendCv;
         std::map<std::pair<NodeId, int>, TxStream> streams GUARDED_BY(
             sendMutex);
-        std::deque<Grant> grants GUARDED_BY(sendMutex);
+        std::deque<TxFrame> uncredited GUARDED_BY(sendMutex);
+
+        /** Requests this node awaits a reply to, by request id. */
+        Mutex replyMutex;
+        CondVar replyCv;
+        std::map<std::uint32_t, std::optional<std::vector<std::uint8_t>>>
+            replies GUARDED_BY(replyMutex);
+        std::uint32_t nextReqId GUARDED_BY(replyMutex) = 1;
 
         /** This node's end of each established pair connection,
          *  keyed by peer; guarded by the transport-wide poolMutex_
@@ -220,61 +233,38 @@ class TcpTransport final : public Transport
          *  enforced by review; see docs/STATIC_ANALYSIS.md). */
         std::map<NodeId, int> pairFd;
 
-        /** Write side of the pair connections, keyed by fd; guarded
-         *  by outMutex because consumers blocked on a parked payload
-         *  help-flush the *peer's* buffer (see helpFlushPair). */
-        Mutex outMutex;
-        std::map<int, OutBuf> outbound GUARDED_BY(outMutex);
-
-        /** Loop-owned header reassembly per pair fd; no lock — only
-         *  this node's event loop thread ever touches it. */
-        std::map<int, HdrBuf> hdrPartial;
-
-        /** Outbound control connections, one per destination; the
-         *  per-destination mutex serializes request/reply exchanges
-         *  on the shared connection. */
-        Mutex ctrlMutex;
-        std::map<NodeId, int> ctrlOut GUARDED_BY(ctrlMutex);
-        std::map<NodeId, std::unique_ptr<Mutex>> ctrlPair GUARDED_BY(
-            ctrlMutex);
-        std::uint32_t nextReqId GUARDED_BY(ctrlMutex) = 1;
-
-        /** Inbound control connections; loop-owned, no lock. */
-        std::vector<int> ctrlIn;
+        /** Loop-owned per pair fd; no lock — only this node's event
+         *  loop thread ever touches them. */
+        std::map<int, OutBuf> outbound;
+        std::map<int, RxConn> rx;
 
         std::thread loop;
-    };
-
-    /** One write-ready frame drained out of the stream queues. */
-    struct TxFrame
-    {
-        int fd;
-        NodeId peer;
-        std::uint8_t header[frame::muxHeaderBytes];
-        std::vector<std::uint8_t> payload;
     };
 
     void eventLoop(NodeId node);
     void wakeLoop(NodeId node);
     void acceptPending(NodeId node);
     void handlePairReadable(NodeId node, NodeId peer, int fd);
+    /** Act on the mux header just reassembled in @p rx; false when the
+     *  frame is complete already (no payload to read). */
+    bool startFrame(NodeId node, NodeId peer, RxConn &rx);
+    /** A request or reply frame's payload arrived whole. */
+    void finishRequestFrame(NodeId node, NodeId peer, RxConn &rx);
     /** Drop @p peer's pair connection after an orderly EOF. */
     void dropPair(NodeId node, NodeId peer, int fd);
-    void drainGrants(NodeId node);
+    /** Loop step: write the credit-exempt frames, then every stream
+     *  frame the credit windows allow. */
     void drainSends(NodeId node);
-    /** Serve one request frame from @p fd; false when the peer hung
-     *  up (the fd is closed and must be dropped). */
-    bool serveControl(NodeId node, int fd);
 
     /** Add @p fd to @p node's epoll set, tagged for classification. */
     void epollAdd(NodeId node, std::uint64_t token, int fd);
-    void epollDel(NodeId node, int fd);
 
     /**
      * This node's end of the pair connection toward @p dst,
-     * establishing it if nobody has; -1 when the peer is mid-connect
-     * and our accept will complete the pair shortly (callers skip and
-     * retry on the next loop iteration — never wait).
+     * establishing it if nobody has; -1 while another connection
+     * holds the pair — the peer's, mid-connect, which our accept
+     * completes, or one about to drop, whose drop wakes our loop.
+     * Callers skip and retry when woken; they never wait.
      */
     int pairFdOrClaim(NodeId node, NodeId dst);
 
@@ -282,34 +272,29 @@ class TcpTransport final : public Transport
      *  counts) transient failures. */
     int connectTo(NodeId dst, const std::uint8_t *shake,
                   std::size_t shake_len);
-    int ctrlConnFor(Node &n, NodeId src, NodeId dst)
-        REQUIRES(n.ctrlMutex);
 
-    /** Deliver payload bytes back to @p src's credit window (and
-     *  wake our loop to write the grant frame). */
+    /** Queue a credit-exempt frame for @p node's loop and wake it. */
+    void queueUncredited(NodeId node, TxFrame f);
+
+    /** Deliver payload bytes back to @p src's credit window. */
     void queueGrant(NodeId node, NodeId src, int tag,
                     std::uint32_t bytes);
 
-    /** Read parked frames' payloads into staged-side storage, re-arm
-     *  their fds, and record the copies. With @p onlyFds, stages just
-     *  the frames parked on those fds (others stay parked, order
-     *  preserved). */
-    void stageParked(NodeId node, Node &n,
-                     const std::set<int> *onlyFds = nullptr)
-        REQUIRES(n.recvMutex);
+    /**
+     * Unlink the first frame addressed to @p node — of @p tag, or of
+     * any tag — if it is complete (per-tag FIFO: a partial first
+     * frame holds the rest back). A frame that did not land in posted
+     * storage drops the tag's posts: its delivery hands the consumer
+     * their memory.
+     */
+    std::optional<Inbound> takeReady(NodeId node, std::optional<int> tag);
 
-    /** Deadlock guard run every loop iteration: a stream stalled on
-     *  credit past the rescue threshold may be waiting on a grant
-     *  trapped behind a parked inbound frame on the same (full-
-     *  duplex) pair connection — stage exactly those connections'
-     *  parked frames so the grant becomes readable. */
-    void rescueStalledStreams(NodeId node);
+    /** Count a frame a consumer took (@p in_place: where it landed)
+     *  and grant its credit back. */
+    void delivered(NodeId node, const Inbound &f, bool in_place);
 
-    /** Write all of @p buf to @p fd, timing it into realWireNs.
-     *  BLOCKING — control-plane connections only; the data plane
-     *  goes through sendOrQueue/flushPairWrites so the event loop
-     *  never blocks on a pair socket. */
-    void writeTimed(int fd, const std::uint8_t *buf, std::size_t len);
+    /** poll/pollTag: the next ready frame as a message. */
+    bool takeMessage(NodeId dst, std::optional<int> tag, NetMessage &out);
 
     /** Non-blocking write burst (MSG_DONTWAIT), timed into
      *  realWireNs; returns how many of @p len bytes the socket
@@ -317,68 +302,30 @@ class TcpTransport final : public Transport
     std::size_t nonblockSend(int fd, const std::uint8_t *p,
                              std::size_t len);
 
-    /** Data-plane write: push @p len bytes to @p fd if its outbound
-     *  buffer is empty, queueing whatever the socket refuses (FIFO
-     *  per connection is preserved — a non-empty buffer means the
-     *  bytes only queue). */
+    /** Write @p len bytes to @p fd if its outbound buffer is empty,
+     *  queueing whatever the socket refuses (FIFO per connection is
+     *  preserved — a non-empty buffer means the bytes only queue). */
     void sendOrQueue(Node &n, NodeId peer, int fd,
                      const std::uint8_t *p, std::size_t len);
-
-    /** Drain one outbound buffer of @p n as far as the socket
-     *  allows; true when it emptied. */
-    bool flushOutBuf(Node &n, int fd, OutBuf &ob)
-        REQUIRES(n.outMutex);
 
     /** Loop step: drain every outbound buffer, arming EPOLLOUT on
      *  the connections that still hold bytes and disarming (and
      *  dropping) the ones that emptied. */
     void flushPairWrites(NodeId node);
 
-    /** Pump @p peer's outbound buffer toward @p toward once. Called
-     *  by consumers blocked on a parked payload whose bytes may
-     *  still sit in the peer's user-space queue: the whole fabric is
-     *  one process, so the claimer can move them itself instead of
-     *  depending on the peer's loop (which may in turn be blocked on
-     *  the claimer's recvMutex). */
-    void helpFlushPair(NodeId peer, NodeId toward);
-
-    /** Read exactly @p len parked-payload bytes from @p fd,
-     *  help-flushing the peer's outbound queue while the socket runs
-     *  dry; panics on a mid-frame close. */
-    void recvParkedPayload(NodeId node, NodeId peer, int fd,
-                           std::uint8_t *buf, std::size_t len);
-
-    /** Re-register @p fd's epoll interest with/without EPOLLOUT.
-     *  False (no-op) while the fd is parked — the registration is
-     *  gone and the claim re-adds it EPOLLIN-only. */
-    bool modPairInterest(NodeId node, NodeId peer, int fd,
-                         bool wantOut);
-
     int nodeCount_;
     WireCounters &wire_;
     TransportOptions options_;
     std::vector<std::unique_ptr<Node>> nodes_;
 
-    /** Pair-pool arbitration: which unordered pairs have (or are
-     *  getting) their one data connection. */
-    struct PairEntry
-    {
-        bool claimed = false;
-    };
+    /** Pair-pool arbitration: the unordered pairs that have (or are
+     *  getting) their one connection. */
     Mutex poolMutex_;
-    std::map<std::pair<NodeId, NodeId>, PairEntry> pool_ GUARDED_BY(
-        poolMutex_);
+    std::set<std::pair<NodeId, NodeId>> pool_ GUARDED_BY(poolMutex_);
 
     Mutex handlerMutex_;
     std::vector<RequestHandler> handlers_ GUARDED_BY(handlerMutex_);
     std::atomic<bool> running_{true};
-
-    /** In-flight send() census: the destructor must not close fds or
-     *  free Node state while a sender released from the bounded-
-     *  queue wait is still on its way out. */
-    Mutex sendersMutex_;
-    CondVar sendersCv_;
-    int inFlightSenders_ GUARDED_BY(sendersMutex_) = 0;
 };
 
 } // namespace skyway

@@ -7,11 +7,11 @@
  *  - ModelTransport: the in-process mailboxes the repository started
  *    with — messages move instantly, wire time exists only on the
  *    simulated per-node clocks (net/model_transport.hh);
- *  - TcpTransport: real loopback TCP sockets — one multiplexed data
+ *  - TcpTransport: real loopback TCP sockets — one multiplexed
  *    connection per node pair carrying tagged, length-prefixed
- *    frames, demultiplexed by one epoll event loop per node, with
- *    bounded per-stream credit for backpressure (net/tcp_transport.hh
- *    and docs/TRANSPORT.md).
+ *    frames, always drained by one epoll event loop per node into
+ *    posted storage or staging, with bounded per-stream credit for
+ *    backpressure (net/tcp_transport.hh and docs/TRANSPORT.md).
  *
  * Both present identical delivery semantics (reliable, per-(src,tag)
  * FIFO, zero-length payload = end of stream), so every consumer —
@@ -76,10 +76,7 @@ struct RequestOptions
 
 /**
  * Construction-time knobs for a transport. Only the TCP transport
- * reads them; the model transport has no wire to tune. Environment
- * variables override these defaults so benches can sweep without a
- * rebuild: SKYWAY_NET_CREDIT_BYTES, SKYWAY_NET_QUEUE_LIMIT,
- * SKYWAY_NET_AFFINITY=1 (see docs/TRANSPORT.md §6).
+ * reads them; the model transport has no wire to tune.
  */
 struct TransportOptions
 {
@@ -88,27 +85,11 @@ struct TransportOptions
      * most this many un-granted payload bytes on the wire per
      * (src, dst, tag) stream before its frames wait in the send queue
      * (time spent waiting counts in `net.credit_stalls_ns`). The
-     * receiver grants credit back as payloads are delivered into
-     * consumer storage. Must be > 0.
+     * receiver grants credit back as payloads are delivered to
+     * consumers, so it also bounds what a receiver stages per stream.
+     * Must be > 0.
      */
     std::size_t creditWindowBytes = std::size_t{1} << 20;
-
-    /**
-     * Optional bound on *queued* (not yet written) bytes per stream;
-     * 0 = unbounded, preserving send()'s fire-and-forget contract.
-     * When set, send() blocks the caller once the stream's queue
-     * exceeds the limit — only safe for callers that drain from a
-     * separate thread.
-     */
-    std::size_t maxQueuedBytesPerStream = 0;
-
-    /**
-     * Pin node i's event loop to hardware core i mod
-     * hardware_concurrency (DShuffle-style core affinity). Off by
-     * default: on small hosts pinning every loop to the same core
-     * serialises the fabric.
-     */
-    bool pinEventLoops = false;
 };
 
 /**
@@ -125,8 +106,14 @@ struct WireCounters
     std::atomic<std::uint64_t> framesSent{0};
     /** Connect attempts beyond the first, plus request resends. */
     std::atomic<std::uint64_t> connectRetries{0};
-    /** Payload bytes recv()'d straight into ReserveFn storage. */
+    /** Remote payload bytes a consumer took in place: they landed in
+     *  storage it posted, and its ReserveFn returned that storage. */
     std::atomic<std::uint64_t> recvIntoBytes{0};
+    /** Remote payload bytes a consumer received any other way: they
+     *  waited in a staging buffer (no fitting post), and delivery
+     *  copied or moved them out. With recvIntoBytes this splits every
+     *  delivered remote payload byte exactly. */
+    std::atomic<std::uint64_t> stagedBytes{0};
     /** Wall nanoseconds spent in socket writes. */
     std::atomic<std::uint64_t> realWireNs{0};
     /** Wall nanoseconds streams spent stalled on exhausted credit. */
@@ -142,6 +129,7 @@ struct WireCounters
         framesSent.store(0, std::memory_order_relaxed);
         connectRetries.store(0, std::memory_order_relaxed);
         recvIntoBytes.store(0, std::memory_order_relaxed);
+        stagedBytes.store(0, std::memory_order_relaxed);
         realWireNs.store(0, std::memory_order_relaxed);
         creditStallsNs.store(0, std::memory_order_relaxed);
         epollWakeups.store(0, std::memory_order_relaxed);
@@ -203,11 +191,12 @@ class Transport
     virtual bool pollTag(NodeId dst, int tag, NetMessage &out) = 0;
 
     /**
-     * Like pollTag, but delivers the payload *into caller-posted
-     * storage*: the transport asks @p reserve for a destination of
-     * the payload's size and moves the bytes straight there — a
-     * modeled NIC DMA, or a literal recv() into old-gen chunk
-     * storage on the TCP transport.
+     * Like pollTag, but delivers the payload *into caller storage*:
+     * the transport asks @p reserve for a destination of the
+     * payload's size and puts the bytes there. When the payload
+     * already landed in storage posted for it (post()) and @p reserve
+     * returns that same address, nothing is copied — the zero-copy
+     * receive; otherwise the bytes are copied in.
      *
      * Returns the payload size, 0 for an empty (end-of-stream)
      * payload — @p reserve is not called — or -1 when no message
@@ -215,6 +204,28 @@ class Transport
      */
     virtual std::ptrdiff_t pollTagInto(NodeId dst, int tag,
                                        const ReserveFn &reserve) = 0;
+
+    /**
+     * Post @p len bytes at @p at as landing storage for one future
+     * frame of @p tag addressed to @p dst (a posted receive). Posts
+     * of a tag are used in FIFO order, one frame each, by a frame no
+     * larger than the post and only while no frame of the tag waits
+     * outside posted storage. The storage must stay valid until the
+     * post is used and delivered, or dropped: at the delivery of an
+     * end-of-stream or of a staged frame of the tag (its memory may
+     * then be reused), or by unpost(). A transport
+     * that delivers synchronously (the model transport) ignores
+     * posts.
+     */
+    virtual void post(NodeId dst, int tag, std::uint8_t *at,
+                      std::size_t len) = 0;
+
+    /**
+     * Withdraw every post of @p tag at @p dst. Frames that already
+     * landed in the posted storage but were not yet delivered move to
+     * staging, so the storage is free once this returns.
+     */
+    virtual void unpost(NodeId dst, int tag) = 0;
 
     /** Register @p handler as @p node's synchronous request daemon. */
     virtual void registerHandler(NodeId node, RequestHandler handler) = 0;

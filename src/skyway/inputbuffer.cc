@@ -183,6 +183,16 @@ InputBuffer::commitChunk(std::size_t len)
     commitReserved(len, /*zero_copy=*/true, /*already_validated=*/false);
 }
 
+std::span<std::uint8_t>
+InputBuffer::freeTail() const
+{
+    if (finalized_ || reserved_ || chunks_.empty())
+        return {};
+    const Chunk &c = chunks_.back();
+    return {reinterpret_cast<std::uint8_t *>(c.base + c.fill),
+            c.cap - c.fill};
+}
+
 rawseg::Header
 InputBuffer::rawSegment(const std::uint8_t *seg, std::size_t len)
 {

@@ -40,6 +40,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -119,6 +120,15 @@ class InputBuffer
      * `skyway.receiver.zero_copy_bytes`.
      */
     void commitChunk(std::size_t len);
+
+    /**
+     * The free tail of the current chunk: where reserveChunk() places
+     * the next segment that fits in it. Never allocates; empty before
+     * the first chunk, while a reservation is open, and once
+     * finalized. A socket receiver posts it (ClusterNetwork::post) so
+     * the transport lands the next segment in place.
+     */
+    std::span<std::uint8_t> freeTail() const;
 
     /**
      * Compatibility ingest for byte-owning callers: copies each

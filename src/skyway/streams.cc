@@ -140,15 +140,23 @@ SkywaySocketInputStream::SkywaySocketInputStream(SkywayContext &ctx,
 {
 }
 
+SkywaySocketInputStream::~SkywaySocketInputStream()
+{
+    // Delivering the end-of-stream already dropped the post.
+    if (!done_)
+        net_.unpost(self_, tag_);
+}
+
 bool
 SkywaySocketInputStream::pump()
 {
     if (done_)
         return true;
     while (true) {
-        // Zero-copy handoff: the fabric delivers each flushed segment
-        // straight into old-gen chunk storage posted by the input
-        // buffer; commitChunk() then parses the records in place.
+        // Each flushed segment goes into old-gen chunk storage from
+        // reserveChunk(); commitChunk() then parses the records in
+        // place. A segment that landed in the posted tail is already
+        // there, and the fabric copies nothing.
         std::ptrdiff_t n = net_.pollTagInto(
             self_, tag_, [this](std::size_t len) {
                 return buffer().reserveChunk(len);
@@ -162,6 +170,9 @@ SkywaySocketInputStream::pump()
             return true;
         }
         buffer().commitChunk(static_cast<std::size_t>(n));
+        std::span<std::uint8_t> tail = buffer().freeTail();
+        if (!tail.empty())
+            net_.post(self_, tag_, tail.data(), tail.size());
     }
 }
 

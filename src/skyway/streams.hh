@@ -191,7 +191,12 @@ class SkywaySocketOutputStream : public SkywayObjectOutputStream
     bool closed_ = false;
 };
 
-/** Reader variant draining the cluster fabric. */
+/**
+ * Reader variant draining the cluster fabric. After each commit it
+ * posts the free tail of its current chunk for the stream's tag, so
+ * a segment that arrives while the reader is between pumps lands in
+ * old-gen chunk storage and is parsed there, uncopied.
+ */
 class SkywaySocketInputStream : public SkywayObjectInputStream
 {
   public:
@@ -199,6 +204,9 @@ class SkywaySocketInputStream : public SkywayObjectInputStream
                             NodeId self, int tag,
                             std::size_t chunk_bytes =
                                 defaultInputChunkBytes);
+
+    /** Withdraws the outstanding post before the chunks can go. */
+    ~SkywaySocketInputStream();
 
     /**
      * Drain pending messages; returns true once the end-of-stream

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "klass/klass.hh"
-#include "klass/wirehint.hh"
 #include "obs/metrics.hh"
 #include "skyway/baddr.hh"
 #include "skyway/context.hh"
@@ -179,9 +178,34 @@ namespace wire
 int
 staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt)
 {
-    // The arithmetic lives in the klass layer so the type registry
-    // can serve the same number as a LOOKUP hint.
-    return compactSavingPercentEstimate(k, wire_fmt);
+    std::ptrdiff_t delta =
+        static_cast<std::ptrdiff_t>(k->format().headerBytes()) -
+        static_cast<std::ptrdiff_t>(wire_fmt.headerBytes());
+    // Item tag + ~2-byte tid varint + 1-byte mark (a transfer mark is
+    // usually 0: only a computed hash survives resetForTransfer).
+    std::size_t overhead = 1 + 2 + 1;
+    std::size_t raw;
+    std::size_t compact;
+    if (!k->isArray()) {
+        raw = static_cast<std::size_t>(
+            static_cast<std::ptrdiff_t>(k->instanceBytes()) - delta);
+        compact = overhead;
+        for (const FieldDesc &f : k->fields())
+            compact += f.type == FieldType::Ref ? 2 : fieldSize(f.type);
+    } else {
+        // Arrays size with their length; estimate at 16 elements and
+        // let the send path's measured feedback correct for real
+        // workloads (large primitive arrays converge to ~0% unless
+        // zero-run RLE bites, and demotion then flips them to raw).
+        constexpr std::size_t n = 16;
+        raw = wordAlign(wire_fmt.arrayHeaderBytes() + n * k->elemSize());
+        compact = overhead + varLen(n) +
+                  n * (k->elemType() == FieldType::Ref ? 3
+                                                       : k->elemSize());
+    }
+    if (compact >= raw)
+        return 0;
+    return static_cast<int>(100 * (raw - compact) / raw);
 }
 
 bool
@@ -414,13 +438,7 @@ CompactEncoder::decisionFor(std::int32_t tid, const Klass *k)
         if (mode_ == WireCompactMode::Force) {
             d = 1;
         } else {
-            // The registry's cached hint (propagated with LOOKUP)
-            // first; local layout arithmetic when it has none. The
-            // hint path never performs a round trip — encodingHint is
-            // a cache probe by contract.
-            int pct = ctx_.resolver().encodingHint(tid);
-            if (pct < 0 || pct > 100)
-                pct = wire::staticSavingPercent(k, wireFmt_);
+            int pct = wire::staticSavingPercent(k, wireFmt_);
             d = pct >= minSavingPct_ ? 1 : 0;
         }
         ctx_.wireEncodings().setDecision(tid, d);

@@ -87,7 +87,7 @@ constexpr std::uint8_t ctPrimArrayRle = 0x07;
 constexpr std::size_t rleMinZeroRun = 16;
 
 /** LEB128 append / measure (shared by the encoder, the SkywaySan
- *  corruption harness, and registry hints — inline so the sanitize
+ *  corruption harness, and the layout estimate — inline so the sanitize
  *  library needs no link dependency on the send path). */
 inline void
 putVarU64(std::vector<std::uint8_t> &out, std::uint64_t v)
@@ -115,8 +115,8 @@ varLen(std::uint64_t v)
  * wire bytes (0–100). Pure layout arithmetic: header + padding +
  * (8 − ~2) per reference slot over the raw record size, using a
  * 16-element guess for arrays (the measured feedback loop corrects
- * for real array sizes). This is the hint value the type registry
- * caches and serves with LOOKUP.
+ * for real array sizes). Instances are exact up to the varint-width
+ * guesses (2-byte tid, 1-byte mark, 2-byte reference slots).
  */
 int staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt);
 

@@ -34,6 +34,7 @@
 #ifndef SKYWAY_SUPPORT_THREAD_ANNOTATIONS_HH
 #define SKYWAY_SUPPORT_THREAD_ANNOTATIONS_HH
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -182,6 +183,19 @@ class CondVar
         std::unique_lock<std::mutex> ul(lock.m_.m_, std::adopt_lock);
         cv_.wait(ul);
         ul.release(); // ownership stays with the MutexLock
+    }
+
+    /** wait() that gives up at @p deadline; false once it passed. */
+    bool
+    waitUntil(MutexLock &lock,
+              std::chrono::steady_clock::time_point deadline)
+        REQUIRES(lock.m_)
+    {
+        std::unique_lock<std::mutex> ul(lock.m_.m_, std::adopt_lock);
+        bool woke = cv_.wait_until(ul, deadline) ==
+                    std::cv_status::no_timeout;
+        ul.release();
+        return woke;
     }
 
     void notify_one() { cv_.notify_one(); }

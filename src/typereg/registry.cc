@@ -1,28 +1,9 @@
 #include "typereg/registry.hh"
 
-#include "klass/wirehint.hh"
 #include "support/bytebuffer.hh"
 
 namespace skyway
 {
-
-namespace
-{
-
-/** Hint wire form: 0–100 = saving percent, 255 = no hint cached. */
-std::uint8_t
-hintByte(int h)
-{
-    return (h >= 0 && h <= 100) ? static_cast<std::uint8_t>(h) : 255;
-}
-
-int
-hintFromByte(std::uint8_t b)
-{
-    return b <= 100 ? static_cast<int>(b) : -1;
-}
-
-} // namespace
 
 TypeRegistryDriver::TypeRegistryDriver(ClusterNetwork &net, NodeId node,
                                        KlassTable &klasses)
@@ -93,41 +74,14 @@ TypeRegistryDriver::tryKlassForId(std::int32_t id)
     return klassForId(id);
 }
 
-int
-TypeRegistryDriver::encodingHint(std::int32_t id)
-{
-    {
-        MutexLock lock(mutex_);
-        auto it = hints_.find(id);
-        if (it != hints_.end())
-            return it->second;
-        if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
-            return -1;
-    }
-    // Compute from the class layout: a local load plus arithmetic,
-    // outside mutex_ (the load hook re-enters idForClass), never a
-    // network round trip — the driver is the registry.
-    Klass *k = klassForId(id);
-    int h = compactSavingPercentEstimate(k, k->format());
-    MutexLock lock(mutex_);
-    hints_[id] = h;
-    return h;
-}
-
 std::vector<std::uint8_t>
 TypeRegistryDriver::encodeView() const
 {
     MutexLock lock(mutex_);
     VectorSink sink;
     sink.writeVarU64(names_.size());
-    for (std::size_t id = 0; id < names_.size(); ++id) {
-        sink.writeString(names_[id]);
-        // Hints the driver happens to have cached ride along; the
-        // rest stay "unknown" (a view pull must not force-load every
-        // registered class on the driver).
-        auto it = hints_.find(static_cast<std::int32_t>(id));
-        sink.writeU8(hintByte(it == hints_.end() ? -1 : it->second));
-    }
+    for (const std::string &name : names_)
+        sink.writeString(name);
     return sink.takeBytes();
 }
 
@@ -158,10 +112,6 @@ TypeRegistryDriver::handle(NodeId, int tag,
         std::int32_t id = idForClass(name);
         VectorSink sink;
         sink.writeI32(id);
-        // The per-class encoding hint rides every LOOKUP reply, so a
-        // worker that registers a class also learns its compaction
-        // estimate in the same round trip.
-        sink.writeU8(hintByte(encodingHint(id)));
         return sink.takeBytes();
     }
     if (tag == regmsg::lookupName) {
@@ -180,11 +130,8 @@ TypeRegistryDriver::handle(NodeId, int tag,
                 ++stats_.classStringsSent;
             }
         }
-        // Hint computation loads the class — outside mutex_.
-        int hint = name.empty() ? -1 : encodingHint(id);
         VectorSink sink;
         sink.writeString(name);
-        sink.writeU8(hintByte(hint));
         return sink.takeBytes();
     }
     panic("TypeRegistryDriver: unknown message tag " +
@@ -201,11 +148,8 @@ TypeRegistryWorker::TypeRegistryWorker(ClusterNetwork &net, NodeId node,
         net_.request(node_, driver_, regmsg::requestView, {});
     ByteSource src(reply);
     std::size_t n = src.readVarU64();
-    for (std::size_t id = 0; id < n; ++id) {
-        std::string name = src.readString();
-        int hint = hintFromByte(src.readU8());
-        insertView(name, static_cast<std::int32_t>(id), hint);
-    }
+    for (std::size_t id = 0; id < n; ++id)
+        insertView(src.readString(), static_cast<std::int32_t>(id));
 
     // Number classes this worker already loaded before attaching.
     for (Klass *k : klasses_.loadedKlasses()) {
@@ -223,24 +167,13 @@ TypeRegistryWorker::TypeRegistryWorker(ClusterNetwork &net, NodeId node,
 }
 
 void
-TypeRegistryWorker::insertView(const std::string &name, std::int32_t id,
-                               int hint)
+TypeRegistryWorker::insertView(const std::string &name, std::int32_t id)
 {
     MutexLock lock(mutex_);
     view_[name] = id;
     idToName_[id] = name;
-    if (hint >= 0)
-        hints_[id] = hint;
     if (id > maxId_)
         maxId_ = id;
-}
-
-int
-TypeRegistryWorker::encodingHint(std::int32_t id)
-{
-    MutexLock lock(mutex_);
-    auto it = hints_.find(id);
-    return it == hints_.end() ? -1 : it->second;
 }
 
 RequestOptions
@@ -271,7 +204,7 @@ TypeRegistryWorker::idForClass(const std::string &name)
                      lookupOptions());
     ByteSource src(reply);
     std::int32_t id = src.readI32();
-    insertView(name, id, hintFromByte(src.readU8()));
+    insertView(name, id);
     return id;
 }
 
@@ -295,7 +228,7 @@ TypeRegistryWorker::nameForId(std::int32_t id)
     std::string name = src.readString();
     if (name.empty())
         panic("TypeRegistryWorker: unknown type id " + std::to_string(id));
-    insertView(name, id, hintFromByte(src.readU8()));
+    insertView(name, id);
     return name;
 }
 
@@ -342,7 +275,7 @@ TypeRegistryWorker::tryKlassForId(std::int32_t id)
         std::string name = src.readString();
         if (name.empty())
             return nullptr;
-        insertView(name, id, hintFromByte(src.readU8()));
+        insertView(name, id);
     }
     return klassForId(id);
 }

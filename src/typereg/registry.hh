@@ -78,22 +78,6 @@ class TypeResolver
      * (assigned after the call) is not an error, merely a cache grow.
      */
     virtual std::int32_t maxAssignedId() const = 0;
-
-    /**
-     * The cached compact-encoding hint for @p id: the class's
-     * estimated compact saving as a percent of its raw wire bytes
-     * (0–100), or -1 when this node has none. Hints originate on the
-     * driver (klass/wirehint.hh) and ride LOOKUP / LOOKUP_NAME /
-     * REQUEST_VIEW replies. Contract: this is a cache probe — it must
-     * never issue a network round trip (the send path calls it per
-     * class per stream), so a miss returns -1 and the caller falls
-     * back to local layout arithmetic.
-     */
-    virtual int encodingHint(std::int32_t id)
-    {
-        (void)id;
-        return -1;
-    }
 };
 
 /** Registry traffic statistics (tests assert the at-most-once claim). */
@@ -129,14 +113,6 @@ class TypeRegistryDriver : public TypeResolver
     std::string nameForId(std::int32_t id) override EXCLUDES(mutex_);
     Klass *klassForId(std::int32_t id) override EXCLUDES(mutex_);
     Klass *tryKlassForId(std::int32_t id) override EXCLUDES(mutex_);
-
-    /**
-     * The driver computes missing hints on demand (a local class
-     * load plus layout arithmetic — no network), then caches them and
-     * serves them with every LOOKUP / LOOKUP_NAME / REQUEST_VIEW
-     * reply.
-     */
-    int encodingHint(std::int32_t id) override EXCLUDES(mutex_);
 
     /** Driver ids are dense: the max is the count minus one. */
     std::int32_t
@@ -183,7 +159,6 @@ class TypeRegistryDriver : public TypeResolver
     std::unordered_map<std::string, std::int32_t> registry_ GUARDED_BY(
         mutex_);
     std::vector<std::string> names_ GUARDED_BY(mutex_); // id -> name
-    std::unordered_map<std::int32_t, int> hints_ GUARDED_BY(mutex_);
     RegistryStats stats_ GUARDED_BY(mutex_);
 };
 
@@ -207,10 +182,6 @@ class TypeRegistryWorker : public TypeResolver
     std::string nameForId(std::int32_t id) override EXCLUDES(mutex_);
     Klass *klassForId(std::int32_t id) override EXCLUDES(mutex_);
     Klass *tryKlassForId(std::int32_t id) override EXCLUDES(mutex_);
-
-    /** Strictly the hint cache filled by driver replies; a miss is
-     *  -1, never a round trip (the send path computes locally). */
-    int encodingHint(std::int32_t id) override EXCLUDES(mutex_);
 
     /** View ids may be sparse; tracked as entries are inserted. */
     std::int32_t
@@ -247,8 +218,8 @@ class TypeRegistryWorker : public TypeResolver
     }
 
   private:
-    void insertView(const std::string &name, std::int32_t id,
-                    int hint = -1) EXCLUDES(mutex_);
+    void insertView(const std::string &name, std::int32_t id)
+        EXCLUDES(mutex_);
     RequestOptions lookupOptions() const EXCLUDES(mutex_);
 
     ClusterNetwork &net_;
@@ -266,7 +237,6 @@ class TypeRegistryWorker : public TypeResolver
         mutex_);
     std::unordered_map<std::int32_t, std::string> idToName_ GUARDED_BY(
         mutex_);
-    std::unordered_map<std::int32_t, int> hints_ GUARDED_BY(mutex_);
     std::int32_t maxId_ GUARDED_BY(mutex_) = -1;
     RegistryStats stats_ GUARDED_BY(mutex_);
     RequestOptions lookupOpts_ GUARDED_BY(mutex_);

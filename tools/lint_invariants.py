@@ -24,10 +24,12 @@ and flags round-trip calls made while any scope is open.
 
 Rule 3 — **no blocking call in the compact-segment expand path**.
 ``InputBuffer::expandSegment`` runs inside ``commitReserved``/``feed``,
-which the TCP event loop drives directly when it recv()s a shuffle
-payload into chunk storage: a blocking primitive (or network round
-trip) reached from the expander wedges the loop exactly like rule 1's
-bug. The rule merges the function tables of the expand-path
+on the thread consuming a stream: the one that took a segment with
+``pollTagInto`` and commits it (the TCP event loop only lands bytes
+and never commits). A blocking primitive (or network round trip)
+reached from the expander stalls that consumer, and through credit
+every sender on its streams, until the blocked call returns. The rule
+merges the function tables of the expand-path
 translation units (src/skyway/inputbuffer.cc, wirecompact.cc) and
 walks the call graph from ``expandSegment``/``expandCompactSegment``,
 flagging the same blocking primitives as rule 1 plus direct
@@ -44,9 +46,9 @@ tests/ and accepts only string literals or a plain name as the
 message.
 
 Rules 1 and 2 carry an explicit allowlist with a justification per entry
-— by-design blocking (the control plane serves strict request/reply
-exchanges) is *checked*, not silenced: an allowlisted name that stops
-matching anything fails the lint, so entries cannot rot.
+— by-design blocking (a new connection's handshake) is *checked*, not
+silenced: an allowlisted name that stops matching anything fails the
+lint, so entries cannot rot. Rule 2's list is empty.
 
 ``--selftest`` runs every engine over tests/lint_fixtures/ — every
 ``fail_*.cc`` snippet must trip its rule, every ``pass_*.cc`` must
@@ -65,12 +67,6 @@ import sys
 
 #: Rule 1: functions the event-loop walk does not descend into.
 ALLOW_LOOP_BLOCKING = {
-    "serveControl": (
-        "control-plane handler: serves one strict request/reply "
-        "exchange with blocking reads/writes by design; bounded by "
-        "the peer's single in-flight request (TRANSPORT.md control "
-        "plane)"
-    ),
     "acceptPending": (
         "handshake read on a freshly accepted connection: the "
         "connecting side sends the handshake immediately after "
@@ -78,32 +74,23 @@ ALLOW_LOOP_BLOCKING = {
         "connection"
     ),
     "connectTo": (
-        "pair/control establishment: blocking connect + handshake "
-        "send, once per connection, with poolMutex_ dropped (see "
-        "pairFdOrClaim) so no other node's loop can stall on it"
+        "pair establishment: blocking connect + handshake send, once "
+        "per connection, with poolMutex_ dropped (see pairFdOrClaim) "
+        "so no other node's loop can stall on it"
     ),
 }
 
 #: Rule 2: (file suffix, lock variable name) -> justification.
-ALLOW_LOCK_ROUND_TRIP = {
-    ("src/net/tcp_transport.cc", "exchange"): (
-        "TcpTransport::request's per-(src,dst) exchange mutex IS the "
-        "protocol: the shared control connection carries strict "
-        "request/reply exchanges, so the lock must span the round "
-        "trip; it guards nothing else and nothing else ever takes it"
-    ),
-}
+#: Empty: no lock may span a round trip.
+ALLOW_LOCK_ROUND_TRIP = {}
 
 #: Rule 1: unbounded-blocking primitives by name.
 BLOCKING_PRIMITIVES = {"sendFully", "recvFully"}
 
 #: Rule 2: calls that (may) perform a network round trip — the
-#: blocking request() API, the class-loader hook (which re-enters the
-#: registry and may itself issue a LOOKUP), and the control plane's
-#: blocking write (half of an exchange).
-ROUND_TRIP_RE = re.compile(
-    r"(?:\.|->)request\s*\(|klasses_\.load\s*\(|\bwriteTimed\s*\("
-)
+#: blocking request() API and the class-loader hook (which re-enters
+#: the registry and may itself issue a LOOKUP).
+ROUND_TRIP_RE = re.compile(r"(?:\.|->)request\s*\(|klasses_\.load\s*\(")
 
 #: Lock-scope openers (raw std guards are banned in favor of the
 #: annotated wrappers, but the scanner understands both so a
