@@ -23,10 +23,15 @@
  *  - object sizes and alignment match each klass's field layout, and
  *    no record spans a flushed segment.
  *
- * The validator is incremental: feed() consumes segments in flush
- * order (the same protocol as InputBuffer::feed) and finish() settles
- * the deferred checks (forward references, roots whose record is in a
- * later segment, unterminated compact top marks).
+ * The record-level checks are the wire decoder's (skyway/wiredecode.hh),
+ * the same code the receiver runs: the validator is a decoder sink
+ * that adds what spans segments — record starts, pending references
+ * and roots, first-write order, compact top-mark pairing — and the
+ * mark/baddr hygiene checks, and builds the WireIndex from the
+ * decoder's callbacks. It is incremental: feed() consumes segments in
+ * flush order (the same protocol as InputBuffer::feed) and finish()
+ * settles the deferred checks (forward references, roots whose record
+ * is in a later segment, unterminated compact top marks).
  * It never panics on corrupt input — every violation becomes a
  * WireDiagnostic with a fault category and a stream offset, which is
  * what the corruption-injection harness (corrupt.hh) asserts against.
@@ -39,59 +44,16 @@
 #include <string>
 #include <vector>
 
-#include "klass/objectformat.hh"
-#include "support/types.hh"
+#include "skyway/wiredecode.hh"
 
 namespace skyway
 {
-
-class Klass;
-class TypeResolver;
-
 namespace sanitize
 {
 
-/** Violation categories; each injected corruption class maps to one. */
-enum class WireFault
-{
-    /** A segment starts with a word that is no segment kind word. */
-    UnknownMarker,
-    /** Klass word does not resolve in the type registry. */
-    UnresolvableTypeId,
-    /** A record, or a raw segment's header lengths, extend past the
-     *  bytes at hand. */
-    TruncatedRecord,
-    /** Record size/alignment inconsistent with the klass layout. */
-    MisalignedRecord,
-    /** A reference slot does not name a decoded object start. */
-    DanglingReference,
-    /** Mark word carries bits that must not survive transfer. */
-    BadMarkWord,
-    /** Nonzero baddr word: sender claim state leaked onto the wire. */
-    BadBaddrWord,
-    /** A root slot or compact root item names no record start, or
-     *  names a record already first written. */
-    BadRootRecord,
-    /**
-     * A compact segment (docs/WIRE_FORMAT.md) is malformed: unknown
-     * item tag, an item overrunning the declared payload, a length
-     * that disagrees with the klass layout, or a truncated varint.
-     */
-    BadCompactItem,
-};
-
-const char *wireFaultName(WireFault f);
-
-/** One violation, located by its physical (flushed-byte) offset. */
-struct WireDiagnostic
-{
-    WireFault fault;
-    std::uint64_t offset;
-    std::string detail;
-
-    /** "fault-name @+offset: detail" */
-    std::string str() const;
-};
+using wire::WireDiagnostic;
+using wire::WireFault;
+using wire::wireFaultName;
 
 struct WireCheckConfig
 {
@@ -185,6 +147,8 @@ class WireValidator
     const WireIndex &index() const { return index_; }
 
   private:
+    template <class> friend class wire::Decoder;
+
     struct PendingRef
     {
         std::uint64_t target;     // logical offset the slot names
@@ -193,19 +157,6 @@ class WireValidator
 
     void report(WireFault f, std::uint64_t off, std::string detail);
     bool isRecordStart(std::uint64_t logical) const;
-    Klass *resolveTid(std::int32_t tid);
-    /** Scan one record at @p rec; returns its size, 0 on fatal fault. */
-    std::size_t scanRecord(const std::uint8_t *rec,
-                           std::size_t remaining,
-                           std::uint64_t phys_off);
-
-    /**
-     * Scan one raw segment (header, records, root table) at @p data.
-     * Returns the consumed bytes, 0 on a fatal fault.
-     */
-    std::size_t scanRawSegment(const std::uint8_t *data,
-                               std::size_t remaining,
-                               std::uint64_t phys_off);
 
     /**
      * Check a root naming logical address @p target (root slot or
@@ -214,21 +165,27 @@ class WireValidator
      */
     void checkRootTarget(std::uint64_t target, std::uint64_t phys);
 
-    /**
-     * Scan one compact segment (marker + varint payload length +
-     * tagged items) at @p data, validating each item against the
-     * same invariants the raw scan enforces and accounting records
-     * at their *expanded* logical sizes, so references between raw
-     * and compact segments of one stream cross-check. Returns the
-     * consumed wire bytes, 0 on a fatal fault. Never panics — this
-     * is the veto the receiver's expander relies on.
-     */
-    std::size_t scanCompactSegment(const std::uint8_t *data,
-                                   std::size_t remaining,
-                                   std::uint64_t phys_off);
+    // wire::Decoder sink (skyway/wiredecode.hh): records are checked
+    // where they are and compact items without being expanded. The
+    // shared accounting uses *expanded* record sizes, so references
+    // between raw and compact segments of one stream cross-check.
+    Klass *klassFor(std::int32_t tid) { return klasses_(tid); }
+    std::uint8_t *
+    inPlace(const std::uint8_t *records, std::size_t)
+    {
+        return const_cast<std::uint8_t *>(records); // only ever read
+    }
+    std::uint8_t *place(std::size_t) { return nullptr; }
+    void onRecord(std::uint8_t *rec, Klass *k, std::size_t size, Word m,
+                  std::uint64_t at);
+    void onSlot(std::uint8_t *, std::size_t, Word slot, std::uint64_t at);
+    void onRoot(Word root, std::uint64_t at);
+    void onTopMark(std::uint64_t at);
+    void onBackRef(Word slot, std::uint64_t at);
+    void onItem(std::uint64_t at) { index_.compactItemOffsets.push_back(at); }
 
-    TypeResolver &resolver_;
     WireCheckConfig cfg_;
+    wire::KlassCache klasses_;
 
     std::vector<WireDiagnostic> diags_;
     WireSummary sum_;
@@ -242,17 +199,16 @@ class WireValidator
     /** The lowest address a first-write root may name: records are
      *  first written once, in ascending order. */
     std::uint64_t nextFirstWrite_ = 0;
+    /** Logical offset of the current segment's first record. */
+    std::uint64_t segFirst_ = 0;
 
     std::uint64_t physical_ = 0;
     std::uint64_t logical_ = 0;
 
-    /** A compact top mark was scanned and its record has not yet
+    /** A compact top mark was decoded and its record has not yet
      *  followed. */
     bool awaitingTopRecord_ = false;
     std::uint64_t awaitingTopOffset_ = 0;
-
-    /** Dense tid -> klass cache (mirrors InputBuffer's). */
-    std::vector<Klass *> tidCache_;
 };
 
 } // namespace sanitize

@@ -9,7 +9,6 @@
 #include "obs/span.hh"
 #include "sanitize/wirecheck.hh"
 #include "skyway/baddr.hh"
-#include "skyway/wirecompact.hh"
 #include "support/stopwatch.hh"
 
 namespace skyway
@@ -56,17 +55,11 @@ InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
     : ctx_(ctx),
       heap_(ctx.heap()),
       chunkBytes_(chunk_bytes),
-      fmt_(ctx.heap().format())
+      fmt_(ctx.heap().format()),
+      klasses_(ctx.resolver())
 {
     panicIf(chunk_bytes < 4 * wordSize,
             "InputBuffer: chunk size too small");
-    // Pre-size the tid cache to the registry's current assignment
-    // ceiling so the receive hot loop never grows the vector
-    // mid-parse; ids assigned after construction (stale view) still
-    // grow it lazily.
-    std::int32_t max_id = ctx_.resolver().maxAssignedId();
-    if (max_id >= 0)
-        tidCache_.resize(static_cast<std::size_t>(max_id) + 1, nullptr);
     if (ctx_.debug().validateWire)
         validator_ = std::make_unique<sanitize::WireValidator>(
             ctx_.resolver(), sanitize::WireCheckConfig{fmt_});
@@ -76,47 +69,6 @@ InputBuffer::~InputBuffer()
 {
     publishMetrics();
     free();
-}
-
-Klass *
-InputBuffer::klassForTid(std::int32_t tid)
-{
-    panicIf(tid < 0, "InputBuffer: negative type id");
-    auto idx = static_cast<std::size_t>(tid);
-    if (idx < tidCache_.size() && tidCache_[idx])
-        return tidCache_[idx];
-    Klass *k = ctx_.resolver().klassForId(tid);
-    if (!k)
-        panic("InputBuffer: unresolvable type id " + std::to_string(tid));
-    if (idx >= tidCache_.size())
-        tidCache_.resize(idx + 1, nullptr);
-    tidCache_[idx] = k;
-    return k;
-}
-
-std::size_t
-InputBuffer::sizeRecord(const std::uint8_t *rec, std::size_t avail,
-                        Klass *&k)
-{
-    panicIf(avail < fmt_.headerBytes(),
-            "InputBuffer: record spans a streamed segment");
-    Word tid_word;
-    std::memcpy(&tid_word, rec + offsetKlass, wordSize);
-    k = klassForTid(static_cast<std::int32_t>(tid_word));
-    std::size_t size = k->instanceBytes();
-    if (k->isArray()) {
-        panicIf(avail < fmt_.arrayHeaderBytes(),
-                "InputBuffer: record spans a streamed segment");
-        Word len;
-        std::memcpy(&len, rec + fmt_.arrayLengthOffset(), wordSize);
-        // Bound the length from the wire before the size arithmetic
-        // can wrap.
-        panicIf(len > avail / k->elemSize(),
-                "InputBuffer: record spans a streamed segment");
-        size = k->arrayBytes(static_cast<std::size_t>(len));
-    }
-    panicIf(size > avail, "InputBuffer: record spans a streamed segment");
-    return size;
 }
 
 void
@@ -141,6 +93,8 @@ InputBuffer::newChunk(std::size_t at_least)
 void
 InputBuffer::publishMetrics()
 {
+    if (stats_ == published_)
+        return;
     ReceiverMetrics &m = ReceiverMetrics::get();
     m.objectsReceived.add(stats_.objectsReceived -
                           published_.objectsReceived);
@@ -193,16 +147,34 @@ InputBuffer::freeTail() const
             c.cap - c.fill};
 }
 
-rawseg::Header
-InputBuffer::rawSegment(const std::uint8_t *seg, std::size_t len)
+void
+InputBuffer::checkWire() const
 {
-    rawseg::Header h;
-    rawseg::Parse p = rawseg::parseHeader(seg, len, h);
-    panicIf(p == rawseg::Parse::NotRaw,
-            "InputBuffer: unknown marker word");
-    panicIf(p == rawseg::Parse::Truncated,
-            "InputBuffer: segment spans past the bytes received");
-    return h;
+    if (!validator_->ok())
+        panic("SkywaySan: receiver wire validation failed: " +
+              validator_->firstFault());
+}
+
+std::size_t
+InputBuffer::decode(const std::uint8_t *seg, std::size_t len)
+{
+    wire::Decoder<InputBuffer> d(*this, fmt_);
+    std::size_t used = d.segment(seg, len, 0);
+    if (used == 0)
+        panic("InputBuffer: " + d.fault().str());
+    return used;
+}
+
+std::size_t
+InputBuffer::expand(const std::uint8_t *seg, std::size_t len)
+{
+    SKYWAY_SPAN("receiver.expand");
+    Stopwatch sw;
+    std::uint64_t before = logical_;
+    std::size_t used = decode(seg, len);
+    stats_.expandedBytes += logical_ - before;
+    stats_.expandNs += sw.elapsedNs();
+    return used;
 }
 
 void
@@ -216,55 +188,42 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
     panicIf(len > reservedLen_,
             "InputBuffer: commit exceeds the reservation");
     if (validator_ && !already_validated) {
-        // Fail on the validator's verdict *before* the parser touches
-        // the segment: the parser assumes well-formed input (a forged
-        // type id would panic deep inside the registry with no
-        // context), while the validator names the fault and its
-        // stream offset. The validator must also read the bytes
-        // before the header and root table are overwritten below.
+        // The validator must read the bytes before the header and
+        // root table are overwritten below, and it also checks what
+        // spans segments (dangling references, root pairing).
         validator_->feed(reserved_, len);
-        if (!validator_->ok())
-            panic("SkywaySan: receiver wire validation failed: " +
-                  validator_->firstFault());
+        checkWire();
     }
 
-    if (wire::isCompactSegment(reserved_, len)) {
-        // The expander writes full-format records through the regular
+    std::uint8_t *seg = reserved_;
+    if (wire::isCompactSegment(seg, len)) {
+        // Expansion places full-format records through the regular
         // chunk machinery — into the very region this reservation
         // covers — so the compact wire bytes are staged out first and
         // the reservation is abandoned without advancing the fill.
         // These bytes are *not* zero-copy: the wire representation is
         // not the chunk representation (stats_.expandedBytes holds
         // what the segment produced).
-        scratch_.assign(reserved_, reserved_ + len);
+        scratch_.assign(seg, seg + len);
         reserved_ = nullptr;
         reservedLen_ = 0;
-        std::size_t used = expandSegment(scratch_.data(),
-                                         scratch_.size());
-        panicIf(used != scratch_.size(),
-                "InputBuffer: trailing bytes after a compact segment");
+        if (expand(scratch_.data(), len) != len)
+            panic("InputBuffer: trailing bytes after a compact segment");
         return;
     }
 
-    std::uint8_t *seg = reserved_;
-    rawseg::Header h = rawSegment(seg, len);
-    panicIf(h.bytes() != len,
-            "InputBuffer: trailing bytes after a raw segment");
-    std::uint8_t *records = seg + rawseg::headerBytes;
-    std::uint8_t *table = records + h.recordBytes;
-    noteRoots(table, h.roots);
+    // The reservation stays open while decoding: inPlace() keeps the
+    // records where they landed.
+    if (decode(seg, len) != len)
+        panic("InputBuffer: trailing bytes after a raw segment");
     // The header and root table occupy chunk space but no logical
     // space: with their words read, they become heap fillers so
     // linear chunk walks skip them.
+    std::size_t table = rawseg::headerBytes + wire::wordAt(seg + wordSize);
     heap_.writeFillerAny(reinterpret_cast<Address>(seg),
                          rawseg::headerBytes);
-    heap_.writeFillerAny(reinterpret_cast<Address>(table),
-                         h.roots * wordSize);
-    if (h.recordBytes > 0) {
-        addSpan(records, h.recordBytes);
-        linkRecords(records, h.recordBytes);
-    }
-
+    heap_.writeFillerAny(reinterpret_cast<Address>(seg + table),
+                         len - table);
     chunks_.back().fill += len;
     if (zero_copy)
         stats_.zeroCopyBytes += len;
@@ -273,110 +232,74 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
 }
 
 void
-InputBuffer::noteRoots(const std::uint8_t *table, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        Word root;
-        std::memcpy(&root, table + i * wordSize, wordSize);
-        pendingRoots_.push_back(rawseg::slotOf(root));
-    }
-}
-
-void
 InputBuffer::addSpan(std::uint8_t *base, std::size_t bytes)
 {
-    spans_.push_back(
-        Span{logical_, reinterpret_cast<Address>(base), bytes});
+    auto a = reinterpret_cast<Address>(base);
+    // The last span ends at logical_: one physically contiguous with
+    // these bytes grows instead.
+    if (!spans_.empty() && spans_.back().base + spans_.back().bytes == a)
+        spans_.back().bytes += bytes;
+    else
+        spans_.push_back(Span{logical_, a, bytes});
     logical_ += bytes;
 }
 
-void
-InputBuffer::linkSlot(std::uint8_t *p)
+std::uint8_t *
+InputBuffer::inPlace(const std::uint8_t *records, std::size_t bytes)
 {
-    Word slot;
-    std::memcpy(&slot, p, wordSize);
+    if (!reserved_)
+        return nullptr;
+    auto *p = const_cast<std::uint8_t *>(records);
+    addSpan(p, bytes);
+    return p;
+}
+
+std::uint8_t *
+InputBuffer::place(std::size_t bytes)
+{
+    if (chunks_.empty() ||
+        chunks_.back().fill + bytes > chunks_.back().cap)
+        newChunk(bytes);
+    Chunk &c = chunks_.back();
+    auto *p = reinterpret_cast<std::uint8_t *>(c.base + c.fill);
+    c.fill += bytes;
+    addSpan(p, bytes);
+    return p;
+}
+
+void
+InputBuffer::onRecord(std::uint8_t *rec, Klass *k, std::size_t size,
+                      Word, std::uint64_t)
+{
+    // Absolutize the type: registry view id -> local klass pointer.
+    wire::putWord(rec + offsetKlass, reinterpret_cast<Word>(k));
+    ++stats_.objectsReceived;
+    stats_.bytesReceived += size;
+}
+
+void
+InputBuffer::onSlot(std::uint8_t *rec, std::size_t off, Word slot,
+                    std::uint64_t)
+{
     if (slot == 0)
         return;
-    std::uint64_t rel = slot - 1;
-    if (rel < logical_) {
-        Address a = resolveRel(rel);
-        std::memcpy(p, &a, wordSize);
-    } else {
-        pendingRefs_.push_back(
-            PendingRef{reinterpret_cast<Address>(p), rel});
-    }
     ++stats_.refsAbsolutized;
+    std::uint64_t rel = slot - 1;
+    // Most references name the span being linked: resolve those here.
+    const Span &s = spans_.back();
+    if (rel - s.firstLogical < s.bytes)
+        wire::putWord(rec + off, s.base + (rel - s.firstLogical));
+    else
+        linkFar(rec + off, rel);
 }
 
 void
-InputBuffer::linkRecords(std::uint8_t *rec, std::size_t bytes)
+InputBuffer::linkFar(std::uint8_t *p, std::uint64_t rel)
 {
-    std::size_t off = 0;
-    while (off < bytes) {
-        std::uint8_t *r = rec + off;
-        Klass *k;
-        std::size_t size = sizeRecord(r, bytes - off, k);
-        // Absolutize the type: registry view id -> local klass
-        // pointer.
-        Word klass_word = reinterpret_cast<Word>(k);
-        std::memcpy(r + offsetKlass, &klass_word, wordSize);
-        if (!k->isArray()) {
-            for (std::uint32_t slot : k->refOffsets())
-                linkSlot(r + slot);
-        } else if (k->elemType() == FieldType::Ref) {
-            Word n;
-            std::memcpy(&n, r + fmt_.arrayLengthOffset(), wordSize);
-            std::uint8_t *elems = r + fmt_.arrayHeaderBytes();
-            for (Word i = 0; i < n; ++i)
-                linkSlot(elems + i * wordSize);
-        }
-        off += size;
-        ++stats_.objectsReceived;
-    }
-    stats_.bytesReceived += bytes;
-}
-
-std::size_t
-InputBuffer::recordPrefix(const std::uint8_t *data, std::size_t len,
-                          std::size_t limit)
-{
-    std::size_t off = 0;
-    while (off < len) {
-        Klass *k;
-        std::size_t size = sizeRecord(data + off, len - off, k);
-        if (off > 0 && off + size > limit)
-            break;
-        off += size;
-    }
-    return off;
-}
-
-void
-InputBuffer::feedSplit(const std::uint8_t *seg, const rawseg::Header &h)
-{
-    const std::uint8_t *rec = seg + rawseg::headerBytes;
-    noteRoots(rec + h.recordBytes, h.roots);
-    std::size_t left = h.recordBytes;
-    while (left > 0) {
-        std::size_t avail = chunks_.empty()
-                                ? 0
-                                : chunks_.back().cap - chunks_.back().fill;
-        std::size_t piece = recordPrefix(rec, left, avail);
-        if (piece > avail) {
-            // Nothing fits the open chunk: size the piece for a fresh
-            // one (oversized when one record alone exceeds it).
-            piece = recordPrefix(rec, left, chunkBytes_);
-        }
-        std::uint8_t *dst = reserveChunk(piece);
-        std::memcpy(dst, rec, piece);
-        reserved_ = nullptr;
-        reservedLen_ = 0;
-        chunks_.back().fill += piece;
-        addSpan(dst, piece);
-        linkRecords(dst, piece);
-        rec += piece;
-        left -= piece;
-    }
+    if (rel < logical_)
+        wire::putWord(p, resolveRel(rel));
+    else
+        pendingRefs_.push_back(PendingRef{reinterpret_cast<Address>(p), rel});
 }
 
 void
@@ -386,88 +309,44 @@ InputBuffer::feed(const std::uint8_t *data, std::size_t len)
     panicIf(finalized_, "InputBuffer: feed after finalize");
     if (validator_) {
         validator_->feed(data, len);
-        if (!validator_->ok())
-            panic("SkywaySan: receiver wire validation failed: " +
-                  validator_->firstFault());
+        checkWire();
     }
     // Compatibility path for byte-owning callers: every segment is
-    // self-delimiting, so each is copied whole into a reservation
-    // (one memcpy) and committed in place like a zero-copy receive.
-    // Only a raw segment larger than a chunk is split. The zero-copy
-    // path (reserveChunk/commitChunk) skips this copy entirely.
+    // self-delimiting, so each raw one is copied whole into a
+    // reservation (one memcpy) and committed in place like a zero-copy
+    // receive. A compact segment — and a raw one larger than a chunk —
+    // is decoded straight from the caller's bytes, its records placed
+    // one by one. The zero-copy path (reserveChunk/commitChunk) skips
+    // the copy entirely.
     std::size_t off = 0;
     while (off < len) {
         const std::uint8_t *seg = data + off;
-        if (wire::isCompactSegment(seg, len - off)) {
-            // Byte-owning caller: no aliasing with chunk storage,
-            // expand straight from the caller's buffer. A file stream
-            // may concatenate further segments after it.
-            off += expandSegment(seg, len - off);
-            continue;
-        }
-        rawseg::Header h = rawSegment(seg, len - off);
+        std::size_t left = len - off;
+        rawseg::Header h;
         std::size_t avail = chunks_.empty()
                                 ? 0
                                 : chunks_.back().cap - chunks_.back().fill;
-        if (h.bytes() <= std::max(avail, chunkBytes_)) {
+        if (rawseg::parseHeader(seg, left, h) == rawseg::Parse::Ok &&
+            h.bytes() <= std::max(avail, chunkBytes_)) {
             std::memcpy(reserveChunk(h.bytes()), seg, h.bytes());
             commitReserved(h.bytes(), /*zero_copy=*/false,
                            /*already_validated=*/true);
+            off += h.bytes();
+        } else if (wire::isCompactSegment(seg, left)) {
+            off += expand(seg, left);
         } else {
-            feedSplit(seg, h);
+            // A raw segment larger than a chunk, or a wire fault.
+            off += decode(seg, left);
         }
-        off += h.bytes();
     }
-}
-
-std::size_t
-InputBuffer::expandSegment(const std::uint8_t *data, std::size_t len)
-{
-    SKYWAY_SPAN("receiver.expand");
-    Stopwatch sw;
-    std::size_t first_span = spans_.size();
-    wire::ExpandHooks hooks;
-    hooks.klassFor = [this](std::int32_t tid) {
-        return klassForTid(tid);
-    };
-    hooks.onMarker = [this](bool is_back_ref, Word slot) {
-        // A top mark names the record placed next.
-        pendingRoots_.push_back(is_back_ref ? slot : logical_ + 1);
-    };
-    hooks.place = [this, first_span](std::size_t size) -> std::uint8_t * {
-        if (chunks_.empty() ||
-            chunks_.back().fill + size > chunks_.back().cap)
-            newChunk(size);
-        Chunk &c = chunks_.back();
-        Address pa = c.base + c.fill;
-        // One span per piece of this segment: a new chunk starts one.
-        if (spans_.size() > first_span &&
-            spans_.back().base + spans_.back().bytes == pa)
-            spans_.back().bytes += size;
-        else
-            spans_.push_back(Span{logical_, pa, size});
-        c.fill += size;
-        logical_ += size;
-        stats_.expandedBytes += size;
-        return reinterpret_cast<std::uint8_t *>(pa);
-    };
-    std::size_t used =
-        wire::expandCompactSegment(data, len, fmt_, hooks);
-    // Every record of the segment is placed: link them, so only
-    // references into later segments wait for finalize().
-    for (std::size_t i = first_span; i < spans_.size(); ++i)
-        linkRecords(reinterpret_cast<std::uint8_t *>(spans_[i].base),
-                    spans_[i].bytes);
-    stats_.expandNs += sw.elapsedNs();
-    return used;
 }
 
 Address
 InputBuffer::resolveRel(std::uint64_t rel) const
 {
     panicIf(rel >= logical_, "InputBuffer: bad relative address");
-    // Spans tile [0, logical_) in order, and most references name the
-    // segment being linked: try the last span before searching.
+    // Spans tile [0, logical_) in order, and most references name a
+    // record linked just before: try the last span before searching.
     const Span *s = &spans_.back();
     if (rel < s->firstLogical) {
         auto it = std::upper_bound(spans_.begin(), spans_.end(), rel,
@@ -490,7 +369,10 @@ InputBuffer::applyFieldUpdates()
                 a += ManagedHeap::fillerSize(a);
                 continue;
             }
-            ctx_.updates().apply(heap_, heap_.klassOf(a), a);
+            // An update may store a young reference without the
+            // write barrier; finalize() dirties no other card.
+            if (ctx_.updates().apply(heap_, heap_.klassOf(a), a))
+                heap_.dirtyCard(a);
             ++stats_.fieldUpdatesApplied;
             a += heap_.objectSize(a);
         }
@@ -508,12 +390,10 @@ InputBuffer::finalize()
         // Reject a corrupt stream *before* absolutization writes
         // anything more into the heap.
         validator_->finish();
-        if (!validator_->ok())
-            panic("SkywaySan: receiver wire validation failed: " +
-                  validator_->firstFault());
+        checkWire();
     }
     // The commits absolutized every reference whose target had
-    // arrived; what remains pointed into a later segment.
+    // arrived; what remains pointed to a later record.
     for (const PendingRef &p : pendingRefs_) {
         Address a = resolveRel(p.rel);
         std::memcpy(reinterpret_cast<void *>(p.slot), &a, wordSize);
@@ -530,12 +410,12 @@ InputBuffer::finalize()
         applyFieldUpdates();
 
     for (Chunk &c : chunks_) {
-        // Make the unreached tail walkable, tell the card table about
-        // the new old-generation pointers, and let the GC see the
-        // chunk as a sequence of live objects.
+        // Make the unreached tail walkable and let the GC see the
+        // chunk as a sequence of live objects. No card is dirtied: a
+        // received reference points into this old-generation buffer,
+        // and the only others are field updates', which
+        // applyFieldUpdates() covers.
         heap_.writeFillerAny(c.base + c.fill, c.cap - c.fill);
-        if (c.fill > 0)
-            heap_.dirtyCardRange(c.base, c.fill);
         heap_.makePinWalkable(c.pin);
     }
     finalized_ = true;

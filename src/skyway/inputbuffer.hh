@@ -13,26 +13,29 @@
  * pointer directly into old-gen chunk storage, writes the streamed
  * segment there (a socket receive, a modeled NIC DMA, a disk read),
  * and calls commitChunk(len). The commit is the receiver's single
- * linear pass (paper section 4.3), run *in place*: the segment header
- * and root table (skyway/baddr.hh, rawseg) are read and overwritten
- * with heap fillers, and the record region — contiguous in both
- * logical (relative-address) and physical space — becomes one entry of
- * the span table. The parse that sizes each record also installs its
- * klass pointer and absolutizes every reference whose target has
- * arrived: span base + (relative - span start). References into later
- * segments wait on a pending list. The legacy feed() entry point
- * remains as the compatibility path for byte-owning callers (framed
- * serializer streams, files, in-memory tests): it copies each
- * self-delimiting segment whole into the reservation, splitting only
- * a segment larger than a chunk, at record boundaries.
+ * linear pass (paper section 4.3), the wire decoder
+ * (skyway/wiredecode.hh) with this buffer as its sink. A raw segment
+ * is parsed *in place*: its header and root table (skyway/baddr.hh,
+ * rawseg) are read and overwritten with heap fillers, and the record
+ * region — contiguous in both logical (relative-address) and physical
+ * space — becomes one entry of the span table. A compact segment's
+ * items are expanded into placed records. Either way each record is
+ * linked once: its klass pointer installed and every reference
+ * absolutized whose target has arrived (span base + (relative - span
+ * start)); references to later records wait on a pending list. The
+ * legacy feed() entry point remains as the compatibility path for
+ * byte-owning callers (framed serializer streams, files, in-memory
+ * tests): it copies each self-delimiting segment whole into the
+ * reservation, or places record by record a raw segment larger than a
+ * chunk.
  *
  * While streaming, chunks are pinned *opaque* (records may still hold
  * relative references), so the GC neither walks nor frees them.
  * finalize() resolves the pending references and the roots, applies
- * registered field updates (the only reason it walks chunks again),
- * covers chunk tails with fillers, updates the card table for the new
- * pointers, and pins the chunks *walkable* — live until the developer
- * frees the buffer.
+ * registered field updates (the only reason it walks chunks again, and
+ * the only stores that may point out of the buffer, so the only cards
+ * it dirties), covers chunk tails with fillers, and pins the chunks
+ * *walkable* — live until the developer frees the buffer.
  */
 
 #ifndef SKYWAY_SKYWAY_INPUTBUFFER_HH
@@ -41,11 +44,11 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "skyway/baddr.hh"
 #include "skyway/context.hh"
+#include "skyway/wiredecode.hh"
 
 namespace skyway
 {
@@ -82,8 +85,10 @@ struct SkywayReceiveStats
     std::uint64_t zeroCopyBytes = 0;
     /** Full-format bytes produced by re-expanding compact segments. */
     std::uint64_t expandedBytes = 0;
-    /** Wall time spent in the compact-segment expander. */
+    /** Wall time spent decoding compact segments. */
     std::uint64_t expandNs = 0;
+
+    bool operator==(const SkywayReceiveStats &) const = default;
 };
 
 class InputBuffer
@@ -131,11 +136,12 @@ class InputBuffer
     std::span<std::uint8_t> freeTail() const;
 
     /**
-     * Compatibility ingest for byte-owning callers: copies each
+     * Compatibility ingest for byte-owning callers: copies each raw
      * segment of @p data (one, or several concatenated, as in a file)
-     * once into a chunk reservation; a segment larger than a chunk is
-     * split at record boundaries. Segments contain whole records (the
-     * sender never splits a record across flushes).
+     * once into a chunk reservation; one larger than a chunk has its
+     * records placed one by one, as a compact segment's are. Segments
+     * contain whole records (the sender never splits a record across
+     * flushes).
      */
     void feed(const std::uint8_t *data, std::size_t len);
 
@@ -163,6 +169,8 @@ class InputBuffer
     const SkywayReceiveStats &stats() const { return stats_; }
 
   private:
+    template <class> friend class wire::Decoder;
+
     struct Chunk
     {
         Address base;
@@ -172,10 +180,10 @@ class InputBuffer
     };
 
     /**
-     * One received segment's record region — or one piece of a
-     * segment split across chunks — contiguous in both logical and
-     * physical space. Spans tile [0, logical_) in order and form the
-     * relative→absolute translation table.
+     * One received segment's record region — or a run of placed
+     * records — contiguous in both logical and physical space. Spans
+     * tile [0, logical_) in order and form the relative→absolute
+     * translation table.
      */
     struct Span
     {
@@ -184,82 +192,64 @@ class InputBuffer
         std::size_t bytes;
     };
 
-    /** A reference slot whose target had not arrived at commit. */
+    /** A reference slot whose target had not arrived when linked. */
     struct PendingRef
     {
         Address slot;
         std::uint64_t rel;
     };
 
-    /** Resolve a klass from a wire type id (cached). */
-    Klass *klassForTid(std::int32_t tid);
-
     /** Translate a relative address to its absolute heap address. */
     Address resolveRel(std::uint64_t rel) const;
-
-    /**
-     * Size of the record at @p rec (local format), setting @p k to its
-     * klass; panics unless the record fits in @p avail bytes.
-     */
-    std::size_t sizeRecord(const std::uint8_t *rec, std::size_t avail,
-                           Klass *&k);
 
     void newChunk(std::size_t at_least);
 
     /**
-     * Parse the raw segment header at @p seg; panics unless it names
-     * a raw segment whose lengths fit in @p len bytes.
-     */
-    static rawseg::Header rawSegment(const std::uint8_t *seg,
-                                     std::size_t len);
-
-    /**
      * Shared commit: validate (unless the caller already did), then
-     * parse the @p len committed bytes of the open reservation — one
-     * whole segment — in place.
+     * decode the @p len committed bytes of the open reservation — one
+     * whole segment: raw records in place, compact items expanded.
      */
     void commitReserved(std::size_t len, bool zero_copy,
                         bool already_validated);
 
-    /** Queue the @p n root slots of the table at @p table. */
-    void noteRoots(const std::uint8_t *table, std::size_t n);
+    /** Panic with the validator's first fault, if it has one. */
+    void checkWire() const;
 
-    /** Append the span for @p bytes of records at @p base. */
+    /**
+     * Decode the segment at @p seg (@p len bytes at hand) and return
+     * its length; panics on a wire fault.
+     */
+    std::size_t decode(const std::uint8_t *seg, std::size_t len);
+
+    /** decode() of a compact segment, timed and counted as expansion. */
+    std::size_t expand(const std::uint8_t *seg, std::size_t len);
+
+    /** Append @p bytes of records at @p base to the span table. */
     void addSpan(std::uint8_t *base, std::size_t bytes);
 
-    /**
-     * The linear pass over @p bytes of records at @p rec (already
-     * covered by spans): size each record, install its klass pointer,
-     * and absolutize each reference — now when its target has
-     * arrived, else at finalize.
-     */
-    void linkRecords(std::uint8_t *rec, std::size_t bytes);
-
-    /** Absolutize the slot at @p p, or queue it (see linkRecords). */
-    void linkSlot(std::uint8_t *p);
-
-    /**
-     * feed() of a raw segment larger than a chunk: copy its records
-     * in record-boundary pieces that pack into chunks.
-     */
-    void feedSplit(const std::uint8_t *seg, const rawseg::Header &h);
-
-    /**
-     * Byte length of the longest prefix of whole records of @p data
-     * that fits in @p limit bytes, but at least the first record.
-     */
-    std::size_t recordPrefix(const std::uint8_t *data, std::size_t len,
-                             std::size_t limit);
-
-    /**
-     * Re-expand the compact segment at @p data (marker + varint
-     * length + items) into full heap-format records placed in chunks,
-     * then link them; returns the consumed wire bytes. The caller owns
-     * @p data — it must not alias chunk storage (the commit path
-     * stages the bytes out first).
-     */
-    std::size_t expandSegment(const std::uint8_t *data,
-                              std::size_t len);
+    // wire::Decoder sink (skyway/wiredecode.hh): every record is linked
+    // once, as it is parsed in place or placed — its klass pointer
+    // installed and each reference absolutized now when its target has
+    // arrived, else at finalize().
+    Klass *klassFor(std::int32_t tid) { return klasses_(tid); }
+    /** Records stay in place only in the open reservation. */
+    std::uint8_t *inPlace(const std::uint8_t *records, std::size_t bytes);
+    std::uint8_t *place(std::size_t bytes);
+    void onRecord(std::uint8_t *rec, Klass *k, std::size_t size, Word,
+                  std::uint64_t);
+    void onSlot(std::uint8_t *rec, std::size_t off, Word slot,
+                std::uint64_t);
+    /** onSlot() of a reference outside the last span: absolutize it
+     *  through the span table, or queue it for finalize(). */
+    void linkFar(std::uint8_t *p, std::uint64_t rel);
+    void onRoot(Word root, std::uint64_t)
+    {
+        pendingRoots_.push_back(rawseg::slotOf(root));
+    }
+    /** A top mark names the record placed next. */
+    void onTopMark(std::uint64_t) { pendingRoots_.push_back(logical_ + 1); }
+    void onBackRef(Word slot, std::uint64_t) { pendingRoots_.push_back(slot); }
+    void onItem(std::uint64_t) {}
 
     /** finalize()'s chunk walk, run only when field updates exist. */
     void applyFieldUpdates();
@@ -309,8 +299,7 @@ class InputBuffer
     /** Staging for compact wire bytes whose expansion overwrites the
      *  chunk region they arrived in (reused across segments). */
     std::vector<std::uint8_t> scratch_;
-    /** Dense tid -> klass cache (global ids are small and dense). */
-    mutable std::vector<Klass *> tidCache_;
+    wire::KlassCache klasses_;
     SkywayReceiveStats stats_;
     /** Values of stats_ as of the last publishMetrics(). */
     SkywayReceiveStats published_;

@@ -241,6 +241,8 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
 void
 SkywaySender::publishMetrics()
 {
+    if (stats_ == published_)
+        return;
     SenderMetrics &m = SenderMetrics::get();
     m.objectsCopied.add(stats_.objectsCopied -
                         published_.objectsCopied);

@@ -52,6 +52,8 @@ struct SkywaySendStats
     std::uint64_t pointerBytes = 0;
     std::uint64_t paddingBytes = 0;
     std::uint64_t dataBytes = 0;
+
+    bool operator==(const SkywaySendStats &) const = default;
 };
 
 /**

@@ -4,34 +4,18 @@
 #include <cstring>
 #include <string>
 
-#include "klass/klass.hh"
 #include "obs/metrics.hh"
-#include "skyway/baddr.hh"
 #include "skyway/context.hh"
 #include "support/logging.hh"
 
 namespace skyway
 {
 
+using wire::putWord;
+using wire::wordAt;
+
 namespace
 {
-
-Word
-wordAt(const std::uint8_t *p)
-{
-    Word w;
-    std::memcpy(&w, p, wordSize);
-    return w;
-}
-
-void
-putWord(std::uint8_t *p, Word w)
-{
-    std::memcpy(p, &w, wordSize);
-}
-
-/** Mirrors the validator's plausibility cap (sanitize/wirecheck.cc). */
-constexpr std::uint64_t maxPlausibleArrayLength = 1ull << 40;
 
 /** Registry-backed compaction counters, resolved once per process. */
 struct CompactMetrics
@@ -54,26 +38,6 @@ struct CompactMetrics
         return m;
     }
 };
-
-/**
- * Raw wire size of the record at @p rec (same arithmetic as the
- * validator: instance sizes shift by the header delta when the klass
- * was laid out against a different format than the wire).
- */
-std::size_t
-rawRecordSize(const std::uint8_t *rec, const Klass *k,
-              const ObjectFormat &wf)
-{
-    std::ptrdiff_t delta =
-        static_cast<std::ptrdiff_t>(k->format().headerBytes()) -
-        static_cast<std::ptrdiff_t>(wf.headerBytes());
-    if (!k->isArray())
-        return static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(k->instanceBytes()) - delta);
-    Word n = wordAt(rec + wf.arrayLengthOffset());
-    return wordAlign(wf.arrayHeaderBytes() +
-                     static_cast<std::size_t>(n) * k->elemSize());
-}
 
 /**
  * Zero-run RLE over an array payload: alternating
@@ -112,50 +76,6 @@ rleEncode(const std::uint8_t *p, std::size_t n,
     }
 }
 
-/** Bounds-checked decode cursor; panics on overrun (run the
- *  WireValidator first to veto untrusted input instead). */
-struct Cursor
-{
-    const std::uint8_t *p;
-    const std::uint8_t *end;
-
-    std::uint64_t
-    varU64()
-    {
-        std::uint64_t v = 0;
-        int shift = 0;
-        while (true) {
-            panicIf(p >= end,
-                    "compact segment truncated inside a varint");
-            std::uint8_t b = *p++;
-            v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-            if ((b & 0x80) == 0)
-                return v;
-            shift += 7;
-            panicIf(shift >= 64, "compact varint too long");
-        }
-    }
-
-    const std::uint8_t *
-    bytes(std::size_t n)
-    {
-        panicIf(static_cast<std::size_t>(end - p) < n,
-                "compact segment truncated inside an item payload");
-        const std::uint8_t *q = p;
-        p += n;
-        return q;
-    }
-
-    std::uint8_t
-    u8()
-    {
-        panicIf(p >= end, "compact segment truncated at an item tag");
-        return *p++;
-    }
-
-    bool atEnd() const { return p == end; }
-};
-
 } // namespace
 
 WireCompactMode
@@ -178,17 +98,13 @@ namespace wire
 int
 staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt)
 {
-    std::ptrdiff_t delta =
-        static_cast<std::ptrdiff_t>(k->format().headerBytes()) -
-        static_cast<std::ptrdiff_t>(wire_fmt.headerBytes());
     // Item tag + ~2-byte tid varint + 1-byte mark (a transfer mark is
     // usually 0: only a computed hash survives resetForTransfer).
     std::size_t overhead = 1 + 2 + 1;
     std::size_t raw;
     std::size_t compact;
     if (!k->isArray()) {
-        raw = static_cast<std::size_t>(
-            static_cast<std::ptrdiff_t>(k->instanceBytes()) - delta);
+        raw = wireOffset(k->instanceBytes(), k, wire_fmt);
         compact = overhead;
         for (const FieldDesc &f : k->fields())
             compact += f.type == FieldType::Ref ? 2 : fieldSize(f.type);
@@ -206,134 +122,6 @@ staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt)
     if (compact >= raw)
         return 0;
     return static_cast<int>(100 * (raw - compact) / raw);
-}
-
-bool
-isCompactSegment(const std::uint8_t *data, std::size_t len)
-{
-    return len >= wordSize && wordAt(data) == marker::compactSeg;
-}
-
-std::size_t
-expandCompactSegment(const std::uint8_t *data, std::size_t len,
-                     const ObjectFormat &wire_fmt,
-                     const ExpandHooks &hooks)
-{
-    panicIf(!isCompactSegment(data, len),
-            "expandCompactSegment: no compact-segment marker");
-    Cursor pre{data + wordSize, data + len};
-    std::uint64_t payload_len = pre.varU64();
-    std::size_t preamble = static_cast<std::size_t>(pre.p - data);
-    panicIf(payload_len > len - preamble,
-            "compact segment payload overruns the buffer");
-    Cursor c{data + preamble, data + preamble + payload_len};
-
-    while (!c.atEnd()) {
-        std::uint8_t tag = c.u8();
-        switch (tag) {
-        case ctTopMark:
-            hooks.onMarker(false, 0);
-            break;
-        case ctBackRef:
-            hooks.onMarker(true, c.varU64());
-            break;
-        case ctRawRecord: {
-            std::uint64_t n = c.varU64();
-            const std::uint8_t *src = c.bytes(
-                static_cast<std::size_t>(n));
-            std::uint8_t *dst = hooks.place(
-                static_cast<std::size_t>(n));
-            std::memcpy(dst, src, static_cast<std::size_t>(n));
-            break;
-        }
-        case ctInstance: {
-            std::uint64_t tid = c.varU64();
-            panicIf(tid > 0x7fffffffull,
-                    "compact instance type id out of range");
-            Word m = c.varU64();
-            Klass *k = hooks.klassFor(static_cast<std::int32_t>(tid));
-            panicIf(!k || k->isArray(),
-                    "compact instance tag with a non-instance klass");
-            std::ptrdiff_t delta =
-                static_cast<std::ptrdiff_t>(k->format().headerBytes()) -
-                static_cast<std::ptrdiff_t>(wire_fmt.headerBytes());
-            std::size_t size = static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(k->instanceBytes()) - delta);
-            std::uint8_t *dst = hooks.place(size);
-            std::memset(dst, 0, size);
-            putWord(dst + offsetMark, m);
-            putWord(dst + offsetKlass, static_cast<Word>(tid));
-            for (const FieldDesc &f : k->fields()) {
-                std::size_t woff = static_cast<std::size_t>(
-                    static_cast<std::ptrdiff_t>(f.offset) - delta);
-                if (f.type == FieldType::Ref) {
-                    putWord(dst + woff, c.varU64());
-                } else {
-                    std::size_t fs = fieldSize(f.type);
-                    std::memcpy(dst + woff, c.bytes(fs), fs);
-                }
-            }
-            break;
-        }
-        case ctPrimArray:
-        case ctRefArray:
-        case ctPrimArrayRle: {
-            std::uint64_t tid = c.varU64();
-            panicIf(tid > 0x7fffffffull,
-                    "compact array type id out of range");
-            Word m = c.varU64();
-            std::uint64_t n = c.varU64();
-            panicIf(n > maxPlausibleArrayLength,
-                    "implausible compact array length");
-            Klass *k = hooks.klassFor(static_cast<std::int32_t>(tid));
-            panicIf(!k || !k->isArray(),
-                    "compact array tag with a non-array klass");
-            bool is_ref = k->elemType() == FieldType::Ref;
-            panicIf((tag == ctRefArray) != is_ref,
-                    "compact array tag does not match element type");
-            std::size_t size = wordAlign(
-                wire_fmt.arrayHeaderBytes() +
-                static_cast<std::size_t>(n) * k->elemSize());
-            std::uint8_t *dst = hooks.place(size);
-            std::memset(dst, 0, size);
-            putWord(dst + offsetMark, m);
-            putWord(dst + offsetKlass, static_cast<Word>(tid));
-            putWord(dst + wire_fmt.arrayLengthOffset(),
-                    static_cast<Word>(n));
-            std::uint8_t *payload = dst + wire_fmt.arrayHeaderBytes();
-            if (tag == ctRefArray) {
-                for (std::uint64_t i = 0; i < n; ++i)
-                    putWord(payload + i * wordSize, c.varU64());
-            } else if (tag == ctPrimArray) {
-                std::size_t bytes =
-                    static_cast<std::size_t>(n) * k->elemSize();
-                std::memcpy(payload, c.bytes(bytes), bytes);
-            } else {
-                std::size_t total =
-                    static_cast<std::size_t>(n) * k->elemSize();
-                std::size_t got = 0;
-                while (got < total) {
-                    std::uint64_t lit = c.varU64();
-                    panicIf(got + lit > total,
-                            "compact RLE literal overruns the array");
-                    std::memcpy(payload + got,
-                                c.bytes(static_cast<std::size_t>(lit)),
-                                static_cast<std::size_t>(lit));
-                    got += static_cast<std::size_t>(lit);
-                    std::uint64_t z = c.varU64();
-                    panicIf(got + z > total,
-                            "compact RLE zero run overruns the array");
-                    got += static_cast<std::size_t>(z);
-                    // The run itself is already zero from the memset.
-                }
-            }
-            break;
-        }
-        default:
-            panic("unknown compact item tag " + std::to_string(tag));
-        }
-    }
-    return preamble + static_cast<std::size_t>(payload_len);
 }
 
 } // namespace wire
@@ -405,7 +193,8 @@ CompactEncoder::CompactEncoder(SkywayContext &ctx,
       wireFmt_(wire_format),
       mode_(ctx.wireCompactMode()),
       minSavingPct_(
-          wire::WirePolicy::minSavingPercent(ctx.wireNsPerByte()))
+          wire::WirePolicy::minSavingPercent(ctx.wireNsPerByte())),
+      klasses_(ctx.resolver())
 {
 }
 
@@ -417,14 +206,19 @@ CompactEncoder::~CompactEncoder()
 Klass *
 CompactEncoder::klassFor(std::int32_t tid)
 {
-    auto it = klassMemo_.find(tid);
-    if (it != klassMemo_.end())
-        return it->second;
-    Klass *k = ctx_.resolver().klassForId(tid);
+    Klass *k = klasses_(tid);
     if (!k)
         panic("CompactEncoder: unresolvable type id " + std::to_string(tid));
-    klassMemo_[tid] = k;
     return k;
+}
+
+std::size_t
+CompactEncoder::recordSize(const std::uint8_t *rec, std::size_t avail,
+                           const Klass *k) const
+{
+    std::size_t size = wire::recordSize(rec, avail, k, wireFmt_);
+    panicIf(size == 0, "CompactEncoder: record spans a flushed segment");
+    return size;
 }
 
 int
@@ -469,7 +263,7 @@ CompactEncoder::anyCompactClass(const std::uint8_t *records,
         Klass *k = klassFor(tid);
         if (decisionFor(tid, k) == 1)
             return true;
-        off += rawRecordSize(records + off, k, wireFmt_);
+        off += recordSize(records + off, len - off, k);
     }
     return false;
 }
@@ -487,9 +281,6 @@ CompactEncoder::appendRecord(const std::uint8_t *rec, std::size_t size,
     }
 
     std::size_t before = enc_.size();
-    std::ptrdiff_t delta =
-        static_cast<std::ptrdiff_t>(k->format().headerBytes()) -
-        static_cast<std::ptrdiff_t>(wireFmt_.headerBytes());
     Word m = wordAt(rec + offsetMark);
     auto utid = static_cast<std::uint64_t>(tid);
 
@@ -498,8 +289,7 @@ CompactEncoder::appendRecord(const std::uint8_t *rec, std::size_t size,
         wire::putVarU64(enc_, utid);
         wire::putVarU64(enc_, m);
         for (const FieldDesc &f : k->fields()) {
-            std::size_t woff = static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(f.offset) - delta);
+            std::size_t woff = wire::wireOffset(f.offset, k, wireFmt_);
             if (f.type == FieldType::Ref) {
                 wire::putVarU64(enc_, wordAt(rec + woff));
             } else {
@@ -584,9 +374,7 @@ CompactEncoder::buildCompact(const RawParts &seg)
         const std::uint8_t *rec = seg.records + off;
         auto tid = static_cast<std::int32_t>(wordAt(rec + offsetKlass));
         Klass *k = klassFor(tid);
-        std::size_t size = rawRecordSize(rec, k, wireFmt_);
-        panicIf(size > seg.recordBytes - off,
-                "CompactEncoder: record spans a flushed segment");
+        std::size_t size = recordSize(rec, seg.recordBytes - off, k);
         appendRecord(rec, size, tid, k, decisionFor(tid, k) == 1);
         off += size;
         at += size;

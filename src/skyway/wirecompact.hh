@@ -10,10 +10,10 @@
  * tagged compact items (no padding, varint-narrowed in-segment
  * references, optional zero-run RLE for dense primitive arrays);
  * everything else travels verbatim inside the same segment. The
- * receiver re-expands compact items during its existing linear scan,
- * writing full heap-format records into the same chunks — heap
- * semantics, baddr relocation, and everything downstream of the
- * expander are unchanged.
+ * receiver's wire decoder (skyway/wiredecode.hh) re-expands compact
+ * items during its one linear pass, writing full heap-format records
+ * into the same chunks — heap semantics, baddr relocation, and
+ * everything downstream of the decoder are unchanged.
  *
  * Compact segment layout (all varints LEB128):
  *
@@ -41,13 +41,12 @@
 #define SKYWAY_SKYWAY_WIRECOMPACT_HH
 
 #include <cstdint>
-#include <cstring>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "klass/objectformat.hh"
 #include "skyway/outputbuffer.hh"
+#include "skyway/wiredecode.hh"
 #include "support/thread_annotations.hh"
 
 namespace skyway
@@ -73,15 +72,6 @@ WireCompactMode wireCompactModeFromEnv();
 
 namespace wire
 {
-
-/** Compact item tags (one byte each, see file header for layouts). */
-constexpr std::uint8_t ctTopMark = 0x01;
-constexpr std::uint8_t ctBackRef = 0x02;
-constexpr std::uint8_t ctRawRecord = 0x03;
-constexpr std::uint8_t ctInstance = 0x04;
-constexpr std::uint8_t ctPrimArray = 0x05;
-constexpr std::uint8_t ctRefArray = 0x06;
-constexpr std::uint8_t ctPrimArrayRle = 0x07;
 
 /** Zero runs shorter than this stay literal in the RLE coder. */
 constexpr std::size_t rleMinZeroRun = 16;
@@ -120,9 +110,6 @@ varLen(std::uint64_t v)
  */
 int staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt);
 
-/** True when @p data begins with a complete compact-segment preamble. */
-bool isCompactSegment(const std::uint8_t *data, std::size_t len);
-
 /**
  * The adaptive decision policy. A class is compacted when its
  * estimated saving (percent of raw bytes) is at least
@@ -144,31 +131,6 @@ struct WirePolicy
         return 100.0 * kEncodeCpuNsPerByte / wire_ns_per_byte;
     }
 };
-
-/**
- * Receiver hooks for expandCompactSegment. `place(bytes)` must return
- * heap-chunk storage for one full-format record (the expander writes
- * header + payload; callers do span/stats bookkeeping). `onMarker` is
- * invoked for ctTopMark and ctBackRef items in stream order.
- */
-struct ExpandHooks
-{
-    std::function<Klass *(std::int32_t tid)> klassFor;
-    std::function<void(bool is_back_ref, Word slot)> onMarker;
-    std::function<std::uint8_t *(std::size_t bytes)> place;
-};
-
-/**
- * Re-expand one compact segment starting at @p data into full
- * heap-format records via @p hooks, producing exactly the byte
- * stream the raw sender would have flushed. Returns the consumed
- * wire bytes (preamble + payload). Panics on malformed input — run
- * the WireValidator first (SKYWAY_WIRE_CHECK) to veto instead.
- */
-std::size_t expandCompactSegment(const std::uint8_t *data,
-                                 std::size_t len,
-                                 const ObjectFormat &wire_fmt,
-                                 const ExpandHooks &hooks);
 
 } // namespace wire
 
@@ -260,6 +222,10 @@ class CompactEncoder
 
     int decisionFor(std::int32_t tid, const Klass *k);
     Klass *klassFor(std::int32_t tid);
+    /** wire::recordSize of a record of the segment being encoded;
+     *  panics when it spans past @p avail. */
+    std::size_t recordSize(const std::uint8_t *rec, std::size_t avail,
+                           const Klass *k) const;
     bool anyCompactClass(const std::uint8_t *records, std::size_t len);
     /** Encode @p seg into enc_ (items only). */
     void buildCompact(const RawParts &seg);
@@ -282,7 +248,7 @@ class CompactEncoder
     std::vector<std::uint8_t> out_;
     std::vector<std::uint8_t> rle_;
     std::unordered_map<std::int32_t, int> memo_;
-    std::unordered_map<std::int32_t, Klass *> klassMemo_;
+    wire::KlassCache klasses_;
 
     struct Measured
     {

@@ -1,6 +1,6 @@
-// lint-invariants fixture (MUST FAIL rule 3): the compact-segment
-// expander reaches a blocking socket write through a helper — it
-// would wedge the event loop that drives commitReserved. Not
+// lint-invariants fixture (MUST FAIL rule 3): the wire decoder reaches
+// a blocking socket write through its sink's placement callback — it
+// would stall the thread that commits the stream's segments. Not
 // compiled — parsed by tools/lint_invariants.py --selftest.
 
 void
@@ -13,20 +13,24 @@ sendFully(int fd, const unsigned char *buf, unsigned long len)
     }
 }
 
-void
-ackItem(int fd, unsigned long off)
+unsigned char *
+place(unsigned long bytes)
 {
+    static unsigned char chunk[4096];
     unsigned char frame[8] = {};
-    sendFully(fd, frame, sizeof(frame)); // blocks mid-expansion
+    sendFully(3, frame, sizeof(frame)); // blocks mid-decode
+    return bytes <= sizeof(chunk) ? chunk : nullptr;
 }
 
+template <class Sink>
 unsigned long
-expandSegment(const unsigned char *data, unsigned long len)
+Decoder<Sink>::segment(const unsigned char *seg, unsigned long len)
 {
     unsigned long off = 0;
     while (off < len) {
-        ackItem(0, off);
-        ++off;
+        unsigned char *dst = sink_.place(16);
+        for (int i = 0; i < 16 && off < len; ++i)
+            dst[i] = seg[off++];
     }
     return off;
 }

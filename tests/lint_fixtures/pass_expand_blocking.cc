@@ -1,6 +1,6 @@
-// lint-invariants fixture (MUST PASS rule 3): the expander only
-// touches memory — item decode plus a placement helper, no sockets,
-// no round trips. Not compiled — parsed by
+// lint-invariants fixture (MUST PASS rule 3): the wire decoder only
+// touches memory — item decode plus its sink's placement callback, no
+// sockets, no round trips. Not compiled — parsed by
 // tools/lint_invariants.py --selftest.
 
 unsigned char *
@@ -10,14 +10,15 @@ place(unsigned long bytes)
     return bytes <= sizeof(chunk) ? chunk : nullptr;
 }
 
+template <class Sink>
 unsigned long
-expandCompactSegment(const unsigned char *data, unsigned long len)
+Decoder<Sink>::segment(const unsigned char *seg, unsigned long len)
 {
     unsigned long off = 0;
     while (off < len) {
-        unsigned char *dst = place(16);
+        unsigned char *dst = sink_.place(16);
         for (int i = 0; i < 16 && off < len; ++i)
-            dst[i] = data[off++];
+            dst[i] = seg[off++];
     }
     return off;
 }

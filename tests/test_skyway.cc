@@ -323,6 +323,51 @@ TEST_F(SkywayTest, FieldUpdateAppliedOnReceive)
               4242);
 }
 
+TEST_F(SkywayTest, FieldUpdateYoungReferencesFollowScavenge)
+{
+    // finalize() dirties no card of a received buffer: a received
+    // object references only its own old-generation buffer, except
+    // through what a field update stores. applyFieldUpdates() dirties
+    // the card of each object it updates, so a young target stored
+    // with or without the write barrier survives a scavenge and its
+    // slot follows the move.
+    ManagedHeap &hb = nodeB_.heap();
+    LocalRoots young(hb);
+    std::size_t viaSetRef = young.push(makePoint(nodeB_, 1, 2));
+    std::size_t viaStore = young.push(makePoint(nodeB_, 3, 4));
+    Address before = young.get(viaStore);
+    ASSERT_TRUE(hb.inYoung(young.get(viaSetRef)) && hb.inYoung(before));
+    nodeB_.skyway().updates().registerUpdate(
+        "test.Pair", "left",
+        [&young, viaSetRef](ManagedHeap &h, Address obj,
+                            const FieldDesc &f) {
+            field::setRef(h, obj, f, young.get(viaSetRef));
+        });
+    nodeB_.skyway().updates().registerUpdate(
+        "test.Node", "next",
+        [&young, viaStore](ManagedHeap &h, Address obj,
+                           const FieldDesc &f) {
+            h.store<Address>(obj, f.offset, young.get(viaStore));
+        });
+    // Two streams, so the updated objects sit in separate buffers and
+    // neither's card covers the other.
+    Address pair = transfer(nodeA_.heap().allocateInstance(
+        nodeA_.klasses().load("test.Pair")));
+    Address node = transfer(nodeA_.heap().allocateInstance(
+        nodeA_.klasses().load("test.Node")));
+
+    nodeB_.gc().scavenge();
+    ASSERT_NE(young.get(viaStore), before) << "the scavenge moved nothing";
+    Address left = hb.loadRef(
+        pair, hb.klassOf(pair)->requireField("left").offset);
+    Address next = hb.loadRef(
+        node, hb.klassOf(node)->requireField("next").offset);
+    EXPECT_EQ(left, young.get(viaSetRef));
+    EXPECT_EQ(next, young.get(viaStore));
+    EXPECT_EQ((reflect::getField<std::int32_t>(hb, left, "y")), 2);
+    EXPECT_EQ((reflect::getField<std::int32_t>(hb, next, "y")), 4);
+}
+
 TEST_F(SkywayTest, HeterogeneousFormatAdjustedBySender)
 {
     // Receiver runs a vanilla (no-baddr) layout; the sender adjusts

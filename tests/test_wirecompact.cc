@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sanitize/corrupt.hh"
@@ -537,6 +539,50 @@ TEST_F(WireCompactTest, ValidatedReceiverVetoesCorruptCompactInput)
         },
         "SkywaySan");
     nodeB_.skyway().debug().validateWire = false;
+}
+
+TEST_F(WireCompactTest, ReceiverNamesTheValidatorsFault)
+{
+    // The receiver and SkywaySan read the wire through one decoder:
+    // with validation off, the receiver still dies naming the fault
+    // the validator reports, for raw and compact corruption alike.
+    LocalRoots roots(nodeA_.heap());
+    std::size_t ra =
+        roots.push(nodeA_.builder().makeRefArray("test.Mixed", 3));
+    for (std::size_t i = 0; i < 3; ++i)
+        array::setRef(nodeA_.heap(), roots.get(ra), i,
+                      makeMixed(nodeA_, roots,
+                                "parity " + std::to_string(i)));
+    nodeB_.skyway().debug() = DebugFlags{};
+    const std::pair<WireCompactMode, std::vector<CorruptionKind>> cases[] = {
+        {WireCompactMode::Off,
+         {CorruptionKind::ForgedTypeId, CorruptionKind::Truncation,
+          CorruptionKind::BogusMarker}},
+        {WireCompactMode::Force, compactCorruptionKinds()},
+    };
+    for (const auto &[mode, kinds] : cases) {
+        std::vector<std::uint8_t> clean = capture({roots.get(ra)}, mode);
+        WireIndex index = indexStream(nodeB_.resolver(), cfg(), clean);
+        for (CorruptionKind kind : kinds) {
+            for (std::uint64_t seed = 0; seed < 2; ++seed) {
+                Rng rng(0xFA17 + seed * 977);
+                std::vector<std::uint8_t> bad =
+                    injectCorruption(index, cfg(), clean, kind, rng);
+                WireValidator v(nodeB_.resolver(), cfg());
+                v.feed(bad.data(), bad.size());
+                v.finish();
+                ASSERT_FALSE(v.ok()) << corruptionKindName(kind);
+                WireFault f = v.diagnostics().front().fault;
+                const std::vector<WireFault> &expect = expectedFaults(kind);
+                ASSERT_NE(std::find(expect.begin(), expect.end(), f),
+                          expect.end())
+                    << corruptionKindName(kind) << " seed " << seed << ": "
+                    << v.firstFault();
+                EXPECT_DEATH(receive(bad), sanitize::wireFaultName(f))
+                    << corruptionKindName(kind) << " seed " << seed;
+            }
+        }
+    }
 }
 
 TEST_F(WireCompactTest, EnvironmentKnobParses)

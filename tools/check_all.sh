@@ -1,6 +1,7 @@
 #!/bin/sh
-# The full local gate: tier-1 tests, the lint label, the forced-
-# compaction pass (docs/WIRE_FORMAT.md), and the SKYWAY_ANALYZE build
+# The full local gate: tier-1 tests, the lint label, the validated
+# raw-wire pass (docs/SANITIZER.md), the forced-compaction pass
+# (docs/WIRE_FORMAT.md), and the SKYWAY_ANALYZE build
 # (docs/STATIC_ANALYSIS.md §5), in one command.
 #
 #   tools/check_all.sh [SOURCE_ROOT]
@@ -13,23 +14,31 @@ set -eu
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 jobs=$(nproc 2>/dev/null || echo 2)
 
-echo "== [1/5] configure + build (default flags) =="
+echo "== [1/6] configure + build (default flags) =="
 cmake -B "$root/build" -S "$root"
 cmake --build "$root/build" -j "$jobs"
 
-echo "== [2/5] tier-1 test suite =="
+echo "== [2/6] tier-1 test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [3/5] lint label =="
+echo "== [3/6] lint label =="
 ctest --test-dir "$root/build" -L lint --output-on-failure
 
-echo "== [4/5] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
+echo "== [4/6] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
+     "SKYWAY_GRAPH_CHECK=1) =="
+# Every transfer on the raw wire is vetted by the SkywaySan wire
+# validator on both sides and by the receiver's post-finalize graph
+# audit (docs/SANITIZER.md).
+SKYWAY_WIRE_COMPACT=off SKYWAY_WIRE_CHECK=1 SKYWAY_GRAPH_CHECK=1 \
+    ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+
+echo "== [5/6] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
 # Every eligible record takes the compact encode/expand path, with the
 # SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
 SKYWAY_WIRE_COMPACT=force SKYWAY_WIRE_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [5/5] static-analysis build (SKYWAY_ANALYZE=ON) =="
+echo "== [6/6] static-analysis build (SKYWAY_ANALYZE=ON) =="
 if command -v clang++ >/dev/null 2>&1; then
     CXX=clang++ cmake -B "$root/build-analyze" -S "$root" \
         -DSKYWAY_ANALYZE=ON

@@ -22,18 +22,19 @@ deadlocks the moment the handler needs the same lock. The rule scans
 every src/ translation unit, tracks lock-guard scopes by brace depth,
 and flags round-trip calls made while any scope is open.
 
-Rule 3 — **no blocking call in the compact-segment expand path**.
-``InputBuffer::expandSegment`` runs inside ``commitReserved``/``feed``,
-on the thread consuming a stream: the one that took a segment with
-``pollTagInto`` and commits it (the TCP event loop only lands bytes
-and never commits). A blocking primitive (or network round trip)
-reached from the expander stalls that consumer, and through credit
-every sender on its streams, until the blocked call returns. The rule
-merges the function tables of the expand-path
-translation units (src/skyway/inputbuffer.cc, wirecompact.cc) and
-walks the call graph from ``expandSegment``/``expandCompactSegment``,
-flagging the same blocking primitives as rule 1 plus direct
-``request()`` round trips.
+Rule 3 — **no blocking call in the wire decode path**. The wire
+decoder (``wire::Decoder::segment``, src/skyway/wiredecode.hh) parses
+raw segments and expands compact ones inside ``commitReserved``/
+``feed``, on the thread consuming a stream: the one that took a
+segment with ``pollTagInto`` and commits it (the TCP event loop only
+lands bytes and never commits). A blocking primitive (or network
+round trip) reached from the decoder or its receiver sink stalls that
+consumer, and through credit every sender on its streams, until the
+blocked call returns. The rule merges the function tables of the
+decoder and its sink (src/skyway/wiredecode.hh, inputbuffer.cc) and
+walks the call graph from ``segment``, flagging the same blocking
+primitives as rule 1 plus direct ``request()`` round trips. A listed
+file that no longer exists fails the lint, as a missing root does.
 
 Rule 4 — **no built message in a ``panicIf`` call**. ``panicIf``
 takes a ``std::string_view`` so a literal message costs nothing when
@@ -102,8 +103,10 @@ LOCK_RE = re.compile(
 
 # Repo style puts the (possibly qualified) function name at column 0
 # with the return type on the previous line and the open brace on its
-# own column-0 line.
-FUNC_DEF_RE = re.compile(r"^([A-Za-z_]\w*(?:::~?[A-Za-z_]\w*)*)\s*\(")
+# own column-0 line. A class template's members carry its arguments
+# (``Decoder<Sink>::segment``).
+FUNC_DEF_RE = re.compile(
+    r"^([A-Za-z_]\w*(?:<[^>]*>)?(?:::~?[A-Za-z_]\w*)*)\s*\(")
 CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 
 
@@ -200,19 +203,18 @@ def check_loop_blocking(path: pathlib.Path, text: str) -> tuple:
     return violations, allow_hits
 
 
-#: Rule 3: the expand path's roots and translation units. The walk
-#: merges the function tables so the cross-file call from
-#: InputBuffer::expandSegment into wire::expandCompactSegment is
-#: followed.
-EXPAND_ROOTS = ("expandSegment", "expandCompactSegment")
+#: Rule 3: the decode path's root and translation units. The walk
+#: merges the function tables so the decoder's calls into its
+#: receiver sink (InputBuffer::place, onRecord, ...) are followed.
+EXPAND_ROOTS = ("segment",)
 EXPAND_PATH_FILES = (
+    "src/skyway/wiredecode.hh",
     "src/skyway/inputbuffer.cc",
-    "src/skyway/wirecompact.cc",
 )
 
 
 def check_expand_blocking(files) -> list:
-    """Rule 3 over the expand-path units. `files`: [(path, text)]."""
+    """Rule 3 over the decode-path units. `files`: [(path, text)]."""
     funcs = {}  # name -> (path, body)
     for path, text in files:
         for name, (_, body) in parse_functions(text).items():
@@ -222,7 +224,7 @@ def check_expand_blocking(files) -> list:
         return [
             "rule 3 found none of "
             + "/".join(EXPAND_ROOTS)
-            + " — the expand path moved; update EXPAND_PATH_FILES"
+            + " — the decode path moved; update EXPAND_PATH_FILES"
         ]
     violations = []
     seen = set()
@@ -238,19 +240,19 @@ def check_expand_blocking(files) -> list:
                 if raw_blocking_net_call(body, idx):
                     violations.append(
                         f"{path}:{lineno}: blocking ::{m.group(1)}() "
-                        f"in the expand path via {' -> '.join(chain)}"
+                        f"in the decode path via {' -> '.join(chain)}"
                     )
             if re.search(r"(?:\.|->)request\s*\(", line):
                 violations.append(
                     f"{path}:{lineno}: network round trip in the "
-                    f"expand path via {' -> '.join(chain)}"
+                    f"decode path via {' -> '.join(chain)}"
                 )
             for m in CALL_RE.finditer(line):
                 callee = m.group(1)
                 if callee in BLOCKING_PRIMITIVES:
                     violations.append(
                         f"{path}:{lineno}: blocking {callee}() in "
-                        f"the expand path via {' -> '.join(chain)}"
+                        f"the decode path via {' -> '.join(chain)}"
                     )
                 elif callee in funcs and callee not in seen:
                     queue.append((callee, chain + [callee]))
@@ -358,9 +360,14 @@ def run(root: pathlib.Path) -> int:
             violations += v
             lock_allow_hits |= a
 
+    missing = [f for f in EXPAND_PATH_FILES if not (root / f).exists()]
+    violations += [
+        f"rule 3 file {f} does not exist — the decode path moved; "
+        "update EXPAND_PATH_FILES" for f in missing
+    ]
     violations += check_expand_blocking(
         [(root / f, (root / f).read_text(encoding="utf-8"))
-         for f in EXPAND_PATH_FILES if (root / f).exists()]
+         for f in EXPAND_PATH_FILES if f not in missing]
     )
 
     for sub in PANICIF_DIRS:
@@ -399,7 +406,7 @@ def run(root: pathlib.Path) -> int:
         f"{', '.join(sorted(loop_allow_hits))}); no lock held across "
         "a round trip (checked allowlist: "
         f"{', '.join(sorted(lock_allow_hits))}); no blocking call in "
-        "the compact expand path; no built panicIf message"
+        "the wire decode path; no built panicIf message"
     )
     return 0
 
