@@ -257,6 +257,66 @@ BM_SkywayTransferBatch(benchmark::State &state)
 BENCHMARK(BM_SkywayTransferBatch)->Arg(10)->Arg(100)->Arg(1000);
 
 /**
+ * Auto-mode sends on both sides of the per-segment raw/compact
+ * choice, into a sink that only counts: arg 0 streams 1000 bench.Rec
+ * graphs, which the policy compacts; arg 1 streams 8 random
+ * long[4096] arrays once measured feedback has demoted the class, so
+ * every segment ships raw.
+ */
+void
+BM_SkywayCompactSend(benchmark::State &state)
+{
+    Env &e = env();
+    SkywayContext &ctx = e.a.skyway();
+    WireCompactMode saved = ctx.wireCompactMode();
+    ctx.setWireCompactMode(WireCompactMode::Auto);
+    const bool arrays = state.range(0) == 1;
+    LocalRoots roots(e.a.heap());
+    std::vector<std::size_t> objs;
+    Rng rng(17);
+    for (int i = 0; i < (arrays ? 8 : 1000); ++i) {
+        if (!arrays) {
+            objs.push_back(e.makeRec(roots, i));
+            continue;
+        }
+        std::vector<std::int64_t> data(4096);
+        for (auto &v : data)
+            v = static_cast<std::int64_t>(rng.nextU64());
+        objs.push_back(roots.push(e.a.builder().makeLongArray(data)));
+    }
+
+    std::uint64_t wire = 0;
+    auto send = [&] {
+        ctx.shuffleStart();
+        SkywayObjectOutputStream out(
+            ctx, [&wire](const std::uint8_t *, std::size_t len) {
+                wire += len;
+            });
+        for (std::size_t o : objs)
+            out.writeObject(roots.get(o));
+        out.flush();
+    };
+    // Demotion acts once 32 compact records of the class are measured.
+    for (int i = 0; i < 5; ++i)
+        send();
+    Klass *longs = e.a.klasses().load("[J");
+    if (arrays && ctx.wireEncodings().decision(longs->tid()) != 0)
+        state.SkipWithError("long[4096] was not demoted");
+
+    wire = 0;
+    for (auto _ : state) {
+        send();
+        benchmark::DoNotOptimize(wire);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(objs.size()));
+    state.counters["wire_bytes"] = benchmark::Counter(
+        static_cast<double>(wire), benchmark::Counter::kAvgIterations);
+    ctx.setWireCompactMode(saved);
+}
+BENCHMARK(BM_SkywayCompactSend)->Arg(0)->Arg(1);
+
+/**
  * ConsoleReporter that additionally captures one JSON row per
  * completed run, in the same schema the table benches emit through
  * bench::JsonReport (docs/OBSERVABILITY.md). Registered-metric deltas

@@ -136,7 +136,9 @@ class OutputBuffer
      * Make the open segment able to take @p bytes more record bytes
      * and @p roots more root slots: flush it when it holds records
      * and is full, and grow the (native) buffer for an oversized
-     * record.
+     * record. The buffer moves only while the open segment holds no
+     * records: the compact encoder keeps pointers to them until the
+     * segment flushes.
      */
     void
     makeRoom(std::size_t bytes, std::size_t roots)

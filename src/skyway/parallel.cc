@@ -9,26 +9,6 @@
 namespace skyway
 {
 
-namespace
-{
-
-void
-foldStats(SkywaySendStats &total, const SkywaySendStats &s)
-{
-    total.objectsCopied += s.objectsCopied;
-    total.bytesCopied += s.bytesCopied;
-    total.topMarks += s.topMarks;
-    total.backRefs += s.backRefs;
-    total.hashFallbacks += s.hashFallbacks;
-    total.casRetries += s.casRetries;
-    total.headerBytes += s.headerBytes;
-    total.pointerBytes += s.pointerBytes;
-    total.paddingBytes += s.paddingBytes;
-    total.dataBytes += s.dataBytes;
-}
-
-} // namespace
-
 ParallelSender::ParallelSender(SkywayContext &ctx, SinkFactory sinks,
                                ParallelSendConfig cfg)
     : threads_(cfg.threads)
@@ -79,7 +59,7 @@ ParallelSender::send(const std::vector<Address> &roots)
     for (unsigned w = 0; w < threads_; ++w) {
         const SkywaySendStats &s = streams_[w]->stats();
         report.perWorker.push_back(s);
-        foldStats(report.total, s);
+        report.total += s;
         report.totalBytes += streams_[w]->totalBytes();
         report.maxWorkerNs = std::max(report.maxWorkerNs, workerNs[w]);
     }

@@ -56,10 +56,12 @@ struct SenderMetrics
 } // namespace
 
 SkywaySender::SkywaySender(SkywayContext &ctx, OutputBuffer &ob,
-                           ObjectFormat target_format)
+                           ObjectFormat target_format,
+                           CompactEncoder *enc)
     : ctx_(ctx),
       heap_(ctx.heap()),
       ob_(ob),
+      enc_(enc),
       tid_(ctx.allocateStreamId()),
       srcFmt_(ctx.heap().format()),
       dstFmt_(target_format),
@@ -172,8 +174,8 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
     // word becomes the global type id; baddr is cleared.
     Word m = mark::resetForTransfer(heap_.markOf(s));
     std::memcpy(dst + offsetMark, &m, wordSize);
-    Word tid_word = static_cast<Word>(
-        static_cast<std::uint32_t>(ctx_.tidFor(k)));
+    std::int32_t tid = ctx_.tidFor(k);
+    Word tid_word = static_cast<Word>(static_cast<std::uint32_t>(tid));
     std::memcpy(dst + offsetKlass, &tid_word, wordSize);
     if (dstFmt_.hasBaddr) {
         Word zero = 0;
@@ -197,6 +199,10 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
                     reinterpret_cast<const void *>(
                         s + srcFmt_.arrayHeaderBytes()),
                     payload);
+        // The alignment tail would otherwise ship whatever the native
+        // buffer held there.
+        std::memset(dst + dstFmt_.arrayHeaderBytes() + payload, 0,
+                    size - dstFmt_.arrayHeaderBytes() - payload);
         if (k->elemType() == FieldType::Ref) {
             for (std::size_t i = 0; i < n; ++i) {
                 Address o = heap_.loadRef(
@@ -236,6 +242,16 @@ SkywaySender::writeRecord(Address s, std::uint64_t addr)
         size - header_accounted - pointer_bytes - data_bytes;
     stats_.paddingBytes += padding;
     stats_.dataBytes += data_bytes;
+    if (enc_)
+        enc_->record(dst, size, tid, k);
+}
+
+void
+SkywaySender::addRoot(Word root)
+{
+    ob_.addRoot(root);
+    if (enc_)
+        enc_->root(root);
 }
 
 void
@@ -290,7 +306,7 @@ SkywaySender::writeObject(Address root)
     // receiver recovers the roots in write order without a graph
     // traversal.
     if (root == nullAddr) {
-        ob_.addRoot(0);
+        addRoot(0);
         ++stats_.backRefs;
         return;
     }
@@ -299,14 +315,14 @@ SkywaySender::writeObject(Address root)
     if (lookupVisited(root, rel)) {
         // Already copied in this phase: a backward reference to its
         // location in the buffer (Algorithm 2 lines 29-30).
-        ob_.addRoot(encodeSlot(rel));
+        addRoot(encodeSlot(rel));
         ++stats_.backRefs;
         return;
     }
 
     // First write in this stream: the tagged root slot plays the
     // paper's top mark.
-    ob_.addRoot(encodeSlot(relForChild(root)) | rawseg::firstWrite);
+    addRoot(encodeSlot(relForChild(root)) | rawseg::firstWrite);
     ++stats_.topMarks;
     drain();
 }

@@ -54,6 +54,22 @@ struct SkywaySendStats
     std::uint64_t dataBytes = 0;
 
     bool operator==(const SkywaySendStats &) const = default;
+
+    SkywaySendStats &
+    operator+=(const SkywaySendStats &s)
+    {
+        objectsCopied += s.objectsCopied;
+        bytesCopied += s.bytesCopied;
+        topMarks += s.topMarks;
+        backRefs += s.backRefs;
+        hashFallbacks += s.hashFallbacks;
+        casRetries += s.casRetries;
+        headerBytes += s.headerBytes;
+        pointerBytes += s.pointerBytes;
+        paddingBytes += s.paddingBytes;
+        dataBytes += s.dataBytes;
+        return *this;
+    }
 };
 
 /**
@@ -70,9 +86,12 @@ class SkywaySender
      *                      differs from the local format the clone is
      *                      adjusted during copying (sender pays, the
      *                      receiver does not — paper section 3.1)
+     * @param enc           the stream's compact encoder, fed every
+     *                      record and root as they are written; null
+     *                      on a raw stream
      */
     SkywaySender(SkywayContext &ctx, OutputBuffer &ob,
-                 ObjectFormat target_format);
+                 ObjectFormat target_format, CompactEncoder *enc);
 
     ~SkywaySender() { publishMetrics(); }
 
@@ -118,6 +137,9 @@ class SkywaySender
     /** Clone the record for @p s at logical address @p addr. */
     void writeRecord(Address s, std::uint64_t addr);
 
+    /** Add @p root to the open segment's root table. */
+    void addRoot(Word root);
+
     void drain();
 
     /** Object size in the receiver's format. */
@@ -126,6 +148,7 @@ class SkywaySender
     SkywayContext &ctx_;
     ManagedHeap &heap_;
     OutputBuffer &ob_;
+    CompactEncoder *enc_;
     std::uint16_t tid_;
     ObjectFormat srcFmt_;
     ObjectFormat dstFmt_;

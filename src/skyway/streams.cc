@@ -5,52 +5,30 @@
 namespace skyway
 {
 
-namespace
-{
-
-/** A wire validator when the context asks for one (debug mode). */
-std::unique_ptr<sanitize::WireValidator>
-makeWireValidator(SkywayContext &ctx, const ObjectFormat &wire_format)
-{
-    if (!ctx.debug().validateWire)
-        return nullptr;
-    return std::make_unique<sanitize::WireValidator>(
-        ctx.resolver(), sanitize::WireCheckConfig{wire_format});
-}
-
-/** Tee flushed segments into @p v before the sink sees them. */
-OutputBuffer::FlushFn
-teeIntoValidator(OutputBuffer::FlushFn sink, sanitize::WireValidator *v)
-{
-    if (!v)
-        return sink;
-    return [sink = std::move(sink), v](const std::uint8_t *data,
-                                       std::size_t len) {
-        v->feed(data, len);
-        sink(data, len);
-    };
-}
-
-} // namespace
-
 SkywayObjectOutputStream::SkywayObjectOutputStream(
     SkywayContext &ctx, OutputBuffer::FlushFn sink,
     std::size_t buffer_bytes, std::optional<ObjectFormat> target_format)
-    : validator_(makeWireValidator(
-          ctx, target_format.value_or(ctx.heap().format()))),
-      // Stage order matters: the validator tees off the *raw* flushed
-      // segment (the semantic stream), then the compaction stage may
-      // rewrite what actually hits the sink. The receiver's validator
-      // sees the compact wire bytes, so both encodings get checked.
+    : wireFmt_(target_format.value_or(ctx.heap().format())),
+      validator_(ctx.debug().validateWire
+                     ? std::make_unique<sanitize::WireValidator>(
+                           ctx.resolver(),
+                           sanitize::WireCheckConfig{wireFmt_})
+                     : nullptr),
+      encoder_(CompactEncoder::forStream(ctx, wireFmt_)),
+      // The validator audits the raw segment (the semantic stream)
+      // before the encoder picks what hits the sink; the receiver's
+      // validator sees the compact wire bytes, so both get checked.
       buffer_(buffer_bytes,
-              teeIntoValidator(
-                  compactStage(ctx,
-                               target_format.value_or(
-                                   ctx.heap().format()),
-                               std::move(sink)),
-                  validator_.get())),
-      sender_(ctx, buffer_,
-              target_format.value_or(ctx.heap().format()))
+              [this, sink = std::move(sink)](const std::uint8_t *data,
+                                             std::size_t len) {
+                  if (validator_)
+                      validator_->feed(data, len);
+                  if (encoder_)
+                      encoder_->flush(data, len, sink);
+                  else
+                      sink(data, len);
+              }),
+      sender_(ctx, buffer_, wireFmt_, encoder_.get())
 {
 }
 
@@ -194,23 +172,13 @@ SkywaySerializer::bindSink(ByteSink &out)
         return;
     if (curSink_)
         endStream(*curSink_);
-    ByteSink *sink = &out;
-    wireValidator_ = makeWireValidator(ctx_, ctx_.heap().format());
-    // One u32 frame per flushed segment; compaction (when on) rewrites
-    // the segment before framing, and the validator audits the raw
-    // bytes ahead of both.
-    outBuf_ = std::make_unique<OutputBuffer>(
-        bufferBytes_,
-        teeIntoValidator(
-            compactStage(
-                ctx_, ctx_.heap().format(),
-                [sink](const std::uint8_t *data, std::size_t len) {
-                    sink->writeU32(static_cast<std::uint32_t>(len));
-                    sink->write(data, len);
-                }),
-            wireValidator_.get()));
-    sender_ = std::make_unique<SkywaySender>(ctx_, *outBuf_,
-                                             ctx_.heap().format());
+    out_ = std::make_unique<SkywayObjectOutputStream>(
+        ctx_,
+        [&out](const std::uint8_t *data, std::size_t len) {
+            out.writeU32(static_cast<std::uint32_t>(len));
+            out.write(data, len);
+        },
+        bufferBytes_);
     curSink_ = &out;
 }
 
@@ -218,7 +186,7 @@ void
 SkywaySerializer::writeObject(Address root, ByteSink &out)
 {
     bindSink(out);
-    sender_->writeObject(root);
+    out_->writeObject(root);
 }
 
 void
@@ -228,30 +196,10 @@ SkywaySerializer::endStream(ByteSink &out)
         return;
     panicIf(curSink_ != &out,
             "SkywaySerializer: endStream on a different sink");
-    outBuf_->flushNow();
-    sender_->publishMetrics();
-    if (wireValidator_) {
-        wireValidator_->finish();
-        if (!wireValidator_->ok())
-            panic("SkywaySan: sender wire validation failed: " +
-                  wireValidator_->firstFault());
-    }
+    out_->flush();
     out.writeU32(0);
-    // Fold this stream's stats into the running totals.
-    const SkywaySendStats &s = sender_->stats();
-    doneStats_.objectsCopied += s.objectsCopied;
-    doneStats_.bytesCopied += s.bytesCopied;
-    doneStats_.topMarks += s.topMarks;
-    doneStats_.backRefs += s.backRefs;
-    doneStats_.hashFallbacks += s.hashFallbacks;
-    doneStats_.casRetries += s.casRetries;
-    doneStats_.headerBytes += s.headerBytes;
-    doneStats_.pointerBytes += s.pointerBytes;
-    doneStats_.paddingBytes += s.paddingBytes;
-    doneStats_.dataBytes += s.dataBytes;
-    sender_.reset();
-    outBuf_.reset();
-    wireValidator_.reset();
+    doneStats_ += out_->stats();
+    out_.reset();
     curSink_ = nullptr;
 }
 
@@ -303,19 +251,8 @@ SkywaySendStats
 SkywaySerializer::sendStats() const
 {
     SkywaySendStats total = doneStats_;
-    if (sender_) {
-        const SkywaySendStats &s = sender_->stats();
-        total.objectsCopied += s.objectsCopied;
-        total.bytesCopied += s.bytesCopied;
-        total.topMarks += s.topMarks;
-        total.backRefs += s.backRefs;
-        total.hashFallbacks += s.hashFallbacks;
-        total.casRetries += s.casRetries;
-        total.headerBytes += s.headerBytes;
-        total.pointerBytes += s.pointerBytes;
-        total.paddingBytes += s.paddingBytes;
-        total.dataBytes += s.dataBytes;
-    }
+    if (out_)
+        total += out_->stats();
     return total;
 }
 

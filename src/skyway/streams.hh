@@ -27,7 +27,11 @@ namespace skyway
 
 /**
  * The writer stream: owns one per-destination output buffer in native
- * memory and a sender bound to it.
+ * memory, a sender bound to it, and the stream's compact encoder and
+ * wire validator when the context asks for them. The one place the
+ * writer pipeline is assembled: each flushed raw segment goes to the
+ * validator, then to the encoder, which hands the sink the compact or
+ * the raw form.
  */
 class SkywayObjectOutputStream
 {
@@ -45,6 +49,11 @@ class SkywayObjectOutputStream
                                  defaultOutputBufferBytes,
                              std::optional<ObjectFormat> target_format =
                                  std::nullopt);
+
+    /** The buffer's flush callback holds this stream's address. */
+    SkywayObjectOutputStream(const SkywayObjectOutputStream &) = delete;
+    SkywayObjectOutputStream &
+    operator=(const SkywayObjectOutputStream &) = delete;
 
     /** Transfer the graph rooted at @p root, as writeObject(o). */
     void writeObject(Address root) { sender_.writeObject(root); }
@@ -67,13 +76,11 @@ class SkywayObjectOutputStream
     /** Settle the validator's deferred checks; panic on a fault. */
     void checkWire();
 
-    /**
-     * Debug-mode wire validator (ctx.debug().validateWire), teed into
-     * the flush path before the sink sees the bytes. Declared before
-     * buffer_: the sink lambda holds a raw pointer to it and the
-     * buffer may flush from its destructor.
-     */
+    ObjectFormat wireFmt_;
+    /** Debug-mode wire validator (ctx.debug().validateWire). */
     std::unique_ptr<sanitize::WireValidator> validator_;
+    /** Null on a raw stream (CompactEncoder::forStream). */
+    std::unique_ptr<CompactEncoder> encoder_;
     OutputBuffer buffer_;
     SkywaySender sender_;
 };
@@ -267,10 +274,8 @@ class SkywaySerializer : public Serializer
     std::size_t chunkBytes_;
 
     ByteSink *curSink_ = nullptr;
-    /** Debug-mode wire validator; see SkywayObjectOutputStream. */
-    std::unique_ptr<sanitize::WireValidator> wireValidator_;
-    std::unique_ptr<OutputBuffer> outBuf_;
-    std::unique_ptr<SkywaySender> sender_;
+    /** The stream bound to curSink_, one u32 frame per segment. */
+    std::unique_ptr<SkywayObjectOutputStream> out_;
     SkywaySendStats doneStats_;
 
     std::unique_ptr<SkywayObjectInputStream> inStream_;

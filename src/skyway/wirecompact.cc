@@ -1,12 +1,10 @@
 #include "skyway/wirecompact.hh"
 
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "obs/metrics.hh"
 #include "skyway/context.hh"
-#include "support/logging.hh"
 
 namespace skyway
 {
@@ -194,31 +192,20 @@ CompactEncoder::CompactEncoder(SkywayContext &ctx,
       mode_(ctx.wireCompactMode()),
       minSavingPct_(
           wire::WirePolicy::minSavingPercent(ctx.wireNsPerByte())),
-      klasses_(ctx.resolver())
+      enc_(kHeadroom),
+      compact_(mode_ == WireCompactMode::Force)
 {
 }
 
-CompactEncoder::~CompactEncoder()
+std::unique_ptr<CompactEncoder>
+CompactEncoder::forStream(SkywayContext &ctx, ObjectFormat wire_format)
 {
-    syncMeasured();
-}
-
-Klass *
-CompactEncoder::klassFor(std::int32_t tid)
-{
-    Klass *k = klasses_(tid);
-    if (!k)
-        panic("CompactEncoder: unresolvable type id " + std::to_string(tid));
-    return k;
-}
-
-std::size_t
-CompactEncoder::recordSize(const std::uint8_t *rec, std::size_t avail,
-                           const Klass *k) const
-{
-    std::size_t size = wire::recordSize(rec, avail, k, wireFmt_);
-    panicIf(size == 0, "CompactEncoder: record spans a flushed segment");
-    return size;
+    WireCompactMode mode = ctx.wireCompactMode();
+    if (mode == WireCompactMode::Off ||
+        (mode == WireCompactMode::Auto &&
+         wire::WirePolicy::minSavingPercent(ctx.wireNsPerByte()) > 100.0))
+        return nullptr; // wire cheaper than the encoder: stay raw
+    return std::make_unique<CompactEncoder>(ctx, wire_format);
 }
 
 int
@@ -241,45 +228,74 @@ CompactEncoder::decisionFor(std::int32_t tid, const Klass *k)
     return d;
 }
 
-CompactEncoder::RawParts
-CompactEncoder::rawParts(const std::uint8_t *data, std::size_t len)
+void
+CompactEncoder::root(Word root)
 {
-    rawseg::Header h;
-    panicIf(rawseg::parseHeader(data, len, h) != rawseg::Parse::Ok ||
-                h.bytes() != len,
-            "CompactEncoder: not one raw segment");
-    const std::uint8_t *rec = data + rawseg::headerBytes;
-    return RawParts{rec, h.recordBytes, rec + h.recordBytes, h.roots};
-}
-
-bool
-CompactEncoder::anyCompactClass(const std::uint8_t *records,
-                                std::size_t len)
-{
-    std::size_t off = 0;
-    while (off < len) {
-        auto tid = static_cast<std::int32_t>(
-            wordAt(records + off + offsetKlass));
-        Klass *k = klassFor(tid);
-        if (decisionFor(tid, k) == 1)
-            return true;
-        off += recordSize(records + off, len - off, k);
+    // A first-write root's record is the next one written; record()
+    // puts its ctTopMark right before it, unless a flush comes first.
+    if (rawseg::isFirstWrite(root)) {
+        top_ = root;
+    } else {
+        enc_.push_back(wire::ctBackRef);
+        wire::putVarU64(enc_, root);
     }
-    return false;
 }
 
 void
-CompactEncoder::appendRecord(const std::uint8_t *rec, std::size_t size,
-                             std::int32_t tid, const Klass *k,
-                             bool compact)
+CompactEncoder::record(const std::uint8_t *rec, std::size_t size,
+                       std::int32_t tid, const Klass *k)
 {
-    if (!compact) {
-        enc_.push_back(wire::ctRawRecord);
-        wire::putVarU64(enc_, size);
-        enc_.insert(enc_.end(), rec, rec + size);
-        return;
+    if (top_ != 0) {
+        enc_.push_back(wire::ctTopMark);
+        top_ = 0;
     }
+    if (decisionFor(tid, k) == 1) {
+        if (!compact_) {
+            releaseHeld();
+            compact_ = true;
+        }
+        appendCompact(rec, size, tid, k);
+    } else if (compact_) {
+        appendRaw(rec, size);
+    } else {
+        // Held where the sender cloned it, so a segment that ships raw
+        // is never copied again. OutputBuffer reallocates only while
+        // its open segment holds no records (after a flush), so the
+        // pointer stays good until this segment flushes.
+        held_.push_back(Held{rec, size, enc_.size() - kHeadroom});
+    }
+}
 
+void
+CompactEncoder::appendRaw(const std::uint8_t *rec, std::size_t size)
+{
+    enc_.push_back(wire::ctRawRecord);
+    wire::putVarU64(enc_, size);
+    enc_.insert(enc_.end(), rec, rec + size);
+}
+
+void
+CompactEncoder::releaseHeld()
+{
+    if (held_.empty())
+        return;
+    // Only root items are in enc_ yet; the raw items go between them.
+    std::vector<std::uint8_t> roots(enc_.begin() + kHeadroom, enc_.end());
+    enc_.resize(kHeadroom);
+    std::size_t from = 0;
+    for (const Held &h : held_) {
+        enc_.insert(enc_.end(), roots.begin() + from, roots.begin() + h.at);
+        appendRaw(h.rec, h.size);
+        from = h.at;
+    }
+    enc_.insert(enc_.end(), roots.begin() + from, roots.end());
+    held_.clear();
+}
+
+void
+CompactEncoder::appendCompact(const std::uint8_t *rec, std::size_t size,
+                              std::int32_t tid, const Klass *k)
+{
     std::size_t before = enc_.size();
     Word m = wordAt(rec + offsetMark);
     auto utid = static_cast<std::uint64_t>(tid);
@@ -334,56 +350,6 @@ CompactEncoder::appendRecord(const std::uint8_t *rec, std::size_t size,
 }
 
 void
-CompactEncoder::appendRoot(Word root, bool record_follows)
-{
-    if (record_follows && rawseg::isFirstWrite(root)) {
-        enc_.push_back(wire::ctTopMark);
-    } else {
-        enc_.push_back(wire::ctBackRef);
-        wire::putVarU64(enc_, rawseg::slotOf(root));
-    }
-}
-
-void
-CompactEncoder::buildCompact(const RawParts &seg)
-{
-    // A first-write root becomes a ctTopMark right before its record.
-    // A backward reference or null root goes right before the next
-    // first-write root's record: its writeObject ran once every
-    // earlier record was written. Roots left when the records run out
-    // — among them a first-write root whose record spilled into the
-    // next segment — close the segment as ctBackRef items.
-    emitAt_.resize(seg.roots);
-    std::uint64_t next = ~std::uint64_t{0};
-    for (std::size_t i = seg.roots; i-- > 0;) {
-        Word root = wordAt(seg.table + i * wordSize);
-        if (rawseg::isFirstWrite(root))
-            next = rawseg::slotOf(root) - 1;
-        emitAt_[i] = next;
-    }
-
-    enc_.clear();
-    std::size_t r = 0;
-    std::uint64_t at = logical_;
-    std::size_t off = 0;
-    while (off < seg.recordBytes) {
-        for (; r < seg.roots && emitAt_[r] <= at; ++r) {
-            Word root = wordAt(seg.table + r * wordSize);
-            appendRoot(root, rawseg::slotOf(root) - 1 == at);
-        }
-        const std::uint8_t *rec = seg.records + off;
-        auto tid = static_cast<std::int32_t>(wordAt(rec + offsetKlass));
-        Klass *k = klassFor(tid);
-        std::size_t size = recordSize(rec, seg.recordBytes - off, k);
-        appendRecord(rec, size, tid, k, decisionFor(tid, k) == 1);
-        off += size;
-        at += size;
-    }
-    for (; r < seg.roots; ++r)
-        appendRoot(wordAt(seg.table + r * wordSize), false);
-}
-
-void
 CompactEncoder::syncMeasured()
 {
     if (mode_ == WireCompactMode::Auto) {
@@ -408,61 +374,35 @@ CompactEncoder::syncMeasured()
 }
 
 void
-CompactEncoder::encodeSegment(const std::uint8_t *data, std::size_t len,
-                              const OutputBuffer::FlushFn &sink)
+CompactEncoder::flush(const std::uint8_t *raw, std::size_t len,
+                      const OutputBuffer::FlushFn &sink)
 {
-    if (len == 0)
-        return;
-    RawParts seg = rawParts(data, len);
-    // Pass 1 (Auto): a segment with no compact-decided class travels
-    // verbatim — no rewrite, no extra copy.
-    if (mode_ != WireCompactMode::Force &&
-        !anyCompactClass(seg.records, seg.recordBytes)) {
-        sink(data, len);
-        logical_ += seg.recordBytes;
-        syncMeasured();
-        return;
+    // A first-write root whose record spilled into the next segment
+    // names it forward.
+    if (top_ != 0) {
+        enc_.push_back(wire::ctBackRef);
+        wire::putVarU64(enc_, rawseg::slotOf(top_));
+        top_ = 0;
     }
-    // Pass 2: build the compact stream.
-    buildCompact(seg);
-    logical_ += seg.recordBytes;
-    std::size_t total =
-        wordSize + wire::varLen(enc_.size()) + enc_.size();
-    if (mode_ != WireCompactMode::Force && total >= len) {
-        // The estimate lied for this mix; ship raw and let the
-        // measured accounting demote the offenders.
-        sink(data, len);
-        syncMeasured();
-        return;
+    std::size_t items = enc_.size() - kHeadroom;
+    std::size_t total = wordSize + wire::varLen(items) + items;
+    if (compact_ && (mode_ == WireCompactMode::Force || total < len)) {
+        std::uint8_t *seg = enc_.data() + kHeadroom - (total - items);
+        putWord(seg, marker::compactSeg);
+        wire::putVarU64(seg + wordSize, items);
+        if (total < len)
+            savedBytes_ += len - total;
+        ++compactSegments_;
+        sink(seg, total);
+    } else {
+        // Nothing compacted, or the estimate lied for this mix: ship
+        // raw and let the measured accounting demote the offenders.
+        sink(raw, len);
     }
-    out_.clear();
-    out_.reserve(total);
-    out_.resize(wordSize);
-    putWord(out_.data(), marker::compactSeg);
-    wire::putVarU64(out_, enc_.size());
-    out_.insert(out_.end(), enc_.begin(), enc_.end());
-    if (out_.size() < len)
-        savedBytes_ += len - out_.size();
-    ++compactSegments_;
-    sink(out_.data(), out_.size());
+    enc_.resize(kHeadroom);
+    held_.clear();
+    compact_ = mode_ == WireCompactMode::Force;
     syncMeasured();
-}
-
-OutputBuffer::FlushFn
-compactStage(SkywayContext &ctx, ObjectFormat wire_format,
-             OutputBuffer::FlushFn sink)
-{
-    WireCompactMode mode = ctx.wireCompactMode();
-    if (mode == WireCompactMode::Off)
-        return sink;
-    if (mode == WireCompactMode::Auto &&
-        wire::WirePolicy::minSavingPercent(ctx.wireNsPerByte()) > 100.0)
-        return sink; // wire cheaper than the encoder: pass through
-    auto enc = std::make_shared<CompactEncoder>(ctx, wire_format);
-    return [enc, sink = std::move(sink)](const std::uint8_t *data,
-                                         std::size_t len) {
-        enc->encodeSegment(data, len, sink);
-    };
 }
 
 } // namespace skyway

@@ -4,16 +4,17 @@
  *
  * Skyway's known cost is byte inflation: raw transfer ships object
  * headers, alignment padding, and 8-byte reference slots alongside
- * the actual data. The compact encoder sits behind the sender's
- * flush tee and rewrites a flushed segment class by class: classes
- * whose estimated saving beats the CPU cost of re-encoding travel as
+ * the actual data. The compact encoder rides the sender's copy loop
+ * and encodes each record class by class as it is cloned: classes
+ * whose estimated saving beats the CPU cost of encoding travel as
  * tagged compact items (no padding, varint-narrowed in-segment
  * references, optional zero-run RLE for dense primitive arrays);
- * everything else travels verbatim inside the same segment. The
- * receiver's wire decoder (skyway/wiredecode.hh) re-expands compact
- * items during its one linear pass, writing full heap-format records
- * into the same chunks — heap semantics, baddr relocation, and
- * everything downstream of the decoder are unchanged.
+ * everything else travels verbatim inside the same segment. Each
+ * flush ships the items or, when they do not win, the raw segment.
+ * The receiver's wire decoder (skyway/wiredecode.hh) re-expands
+ * compact items during its one linear pass, writing full heap-format
+ * records into the same chunks — heap semantics, baddr relocation,
+ * and everything downstream of the decoder are unchanged.
  *
  * Compact segment layout (all varints LEB128):
  *
@@ -31,16 +32,16 @@
  *                                                  primitive array, RLE
  *
  * The per-class raw/compact choice is driven by a static layout
- * estimate (optionally served by the type registry with LOOKUP) and
- * refined by measured per-class byte accounting; the threshold scales
- * with the link's ns-per-byte cost so compaction pays no CPU tax
- * where bandwidth is free (see WirePolicy).
+ * estimate and refined by measured per-class byte accounting; the
+ * threshold scales with the link's ns-per-byte cost so compaction
+ * pays no CPU tax where bandwidth is free (see WirePolicy).
  */
 
 #ifndef SKYWAY_SKYWAY_WIRECOMPACT_HH
 #define SKYWAY_SKYWAY_WIRECOMPACT_HH
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -76,9 +77,10 @@ namespace wire
 /** Zero runs shorter than this stay literal in the RLE coder. */
 constexpr std::size_t rleMinZeroRun = 16;
 
-/** LEB128 append / measure (shared by the encoder, the SkywaySan
- *  corruption harness, and the layout estimate — inline so the sanitize
- *  library needs no link dependency on the send path). */
+/** LEB128 append, write at @p p, and measure (shared by the encoder,
+ *  the SkywaySan corruption harness, and the layout estimate — inline
+ *  so the sanitize library needs no link dependency on the send
+ *  path). */
 inline void
 putVarU64(std::vector<std::uint8_t> &out, std::uint64_t v)
 {
@@ -87,6 +89,16 @@ putVarU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         v >>= 7;
     }
     out.push_back(static_cast<std::uint8_t>(v));
+}
+
+inline void
+putVarU64(std::uint8_t *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p = static_cast<std::uint8_t>(v);
 }
 
 inline std::size_t
@@ -115,12 +127,12 @@ int staticSavingPercent(const Klass *k, const ObjectFormat &wire_fmt);
  * estimated saving (percent of raw bytes) is at least
  * `100 * kEncodeCpuNsPerByte / wire_ns_per_byte`: spending one
  * CPU-ns must buy at least one wire-ns. On links cheaper than the
- * encoder itself (threshold > 100) Auto mode disables the stage
- * entirely and flushes pass straight through.
+ * encoder itself (threshold > 100) Auto mode builds no encoder and
+ * streams stay raw.
  */
 struct WirePolicy
 {
-    /** Measured cost of the compact rewrite, ns per raw byte. */
+    /** CPU cost charged for compact encoding, ns per raw byte. */
     static constexpr double kEncodeCpuNsPerByte = 0.5;
 
     static double
@@ -185,70 +197,83 @@ class WireEncodingCache
 };
 
 /**
- * The send-path compaction stage: rewrites whole flushed segments.
- * One instance per output stream (ParallelSender workers each own
- * one); per-class decisions are memoized locally and synchronized
- * with the context's WireEncodingCache at segment boundaries, and
- * metric deltas publish on destruction.
+ * The send-path compaction stage, fed by the sender as it copies. One
+ * instance per output stream (ParallelSender workers each own one);
+ * per-class decisions are memoized locally and synchronized with the
+ * context's WireEncodingCache at segment boundaries, where the metric
+ * deltas also publish.
  */
 class CompactEncoder
 {
   public:
     CompactEncoder(SkywayContext &ctx, ObjectFormat wire_format);
-    ~CompactEncoder();
 
     CompactEncoder(const CompactEncoder &) = delete;
     CompactEncoder &operator=(const CompactEncoder &) = delete;
 
     /**
-     * Encode one flushed segment and hand the chosen representation
-     * (compact, or the untouched input when nothing wins) to @p sink.
+     * The encoder for a new stream on @p ctx, or nullptr when
+     * compaction cannot win: mode Off, or an Auto-mode link so fast
+     * that even a 100%-saving class would cost more CPU than it buys
+     * (the "no CPU tax where bandwidth is free" guarantee).
      */
-    void encodeSegment(const std::uint8_t *data, std::size_t len,
-                       const OutputBuffer::FlushFn &sink);
+    static std::unique_ptr<CompactEncoder>
+    forStream(SkywayContext &ctx, ObjectFormat wire_format);
+
+    /**
+     * The record the sender just cloned into the open segment at
+     * @p rec: @p size wire bytes of type id @p tid and klass @p k.
+     */
+    void record(const std::uint8_t *rec, std::size_t size,
+                std::int32_t tid, const Klass *k);
+
+    /** A root slot word (rawseg) just added to the open segment. */
+    void root(Word root);
+
+    /**
+     * Ship the open segment, flushed raw as @p raw: its items as one
+     * compact segment, or @p raw itself (Auto: when no record
+     * compacted or the items are no smaller).
+     */
+    void flush(const std::uint8_t *raw, std::size_t len,
+               const OutputBuffer::FlushFn &sink);
 
   private:
-    /** A raw segment's record region and root table (rawseg). */
-    struct RawParts
+    /** Room for the compact segment's kind word and length varint. */
+    static constexpr std::size_t kHeadroom = wordSize + 10;
+
+    /** A raw-decided record not yet copied into the items. */
+    struct Held
     {
-        const std::uint8_t *records;
-        std::size_t recordBytes;
-        const std::uint8_t *table;
-        std::size_t roots;
+        const std::uint8_t *rec;
+        std::size_t size;
+        /** Item bytes ahead of its raw item. */
+        std::size_t at;
     };
 
-    /** Split the raw segment at @p data; panics unless it is one. */
-    static RawParts rawParts(const std::uint8_t *data, std::size_t len);
-
     int decisionFor(std::int32_t tid, const Klass *k);
-    Klass *klassFor(std::int32_t tid);
-    /** wire::recordSize of a record of the segment being encoded;
-     *  panics when it spans past @p avail. */
-    std::size_t recordSize(const std::uint8_t *rec, std::size_t avail,
-                           const Klass *k) const;
-    bool anyCompactClass(const std::uint8_t *records, std::size_t len);
-    /** Encode @p seg into enc_ (items only). */
-    void buildCompact(const RawParts &seg);
-    void appendRecord(const std::uint8_t *rec, std::size_t size,
-                      std::int32_t tid, const Klass *k, bool compact);
-    /** ctTopMark when @p record_follows names the next record, else
-     *  ctBackRef. */
-    void appendRoot(Word root, bool record_follows);
+    void appendRaw(const std::uint8_t *rec, std::size_t size);
+    void appendCompact(const std::uint8_t *rec, std::size_t size,
+                       std::int32_t tid, const Klass *k);
+    /** Splice the held records' raw items in among the root items. */
+    void releaseHeld();
     void syncMeasured();
 
     SkywayContext &ctx_;
     ObjectFormat wireFmt_;
     WireCompactMode mode_;
     double minSavingPct_;
-    /** Logical address of the next segment's first record. */
-    std::uint64_t logical_ = 0;
-    /** Per root slot: the record before which its item goes. */
-    std::vector<std::uint64_t> emitAt_;
+    /** The open segment's items, after kHeadroom bytes. */
     std::vector<std::uint8_t> enc_;
-    std::vector<std::uint8_t> out_;
+    /** Raw records held until the segment's first compact record. */
+    std::vector<Held> held_;
+    /** The open segment ships compact if its items come out smaller
+     *  (always, under Force): raw records go straight into enc_. */
+    bool compact_;
+    /** A first-write root whose record has not been written yet. */
+    Word top_ = 0;
     std::vector<std::uint8_t> rle_;
     std::unordered_map<std::int32_t, int> memo_;
-    wire::KlassCache klasses_;
 
     struct Measured
     {
@@ -258,21 +283,11 @@ class CompactEncoder
     };
     std::unordered_map<std::int32_t, Measured> measured_;
 
-    // Unpublished metric deltas (published at destruction).
+    // Unpublished metric deltas (published at each segment).
     std::uint64_t savedBytes_ = 0;
     std::uint64_t compactRecords_ = 0;
     std::uint64_t compactSegments_ = 0;
 };
-
-/**
- * Wrap @p sink with this stream's compaction stage. Returns @p sink
- * unchanged when the stage cannot win: mode Off, or an Auto-mode
- * link so fast that even a 100%-saving class would cost more CPU
- * than it buys (the "no CPU tax where bandwidth is free" guarantee).
- */
-OutputBuffer::FlushFn compactStage(SkywayContext &ctx,
-                                   ObjectFormat wire_format,
-                                   OutputBuffer::FlushFn sink);
 
 } // namespace skyway
 

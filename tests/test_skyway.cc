@@ -766,6 +766,46 @@ INSTANTIATE_TEST_SUITE_P(WireModes, RootTableTest,
                                         : std::string("force");
                          });
 
+TEST_F(SkywayTest, ArrayPaddingIsZeroedOnTheWire)
+{
+    // A long[] of -1 fills the first segment of a 4 KiB buffer
+    // exactly; the int[1] after it opens the second segment where
+    // those -1 bytes were, and its 4-byte alignment tail must ship as
+    // zeros, not as the previous segment's bytes.
+    nodeA_.skyway().setWireCompactMode(WireCompactMode::Off);
+    constexpr std::size_t kBuf = 4 << 10;
+    const ObjectFormat &fmt = nodeA_.heap().format();
+    std::size_t n = (kBuf - rawseg::headerBytes -
+                     fmt.arrayHeaderBytes() - wordSize) /
+                    sizeof(std::int64_t);
+    LocalRoots roots(nodeA_.heap());
+    std::size_t rl = roots.push(nodeA_.builder().makeLongArray(
+        std::vector<std::int64_t>(n, -1)));
+    std::size_t ri = roots.push(nodeA_.builder().makeIntArray({7}));
+
+    nodeA_.skyway().shuffleStart();
+    Segments segs;
+    SkywayObjectOutputStream out(
+        nodeA_.skyway(),
+        [&segs](const std::uint8_t *d, std::size_t len) {
+            segs.emplace_back(d, d + len);
+        },
+        kBuf);
+    out.writeObject(roots.get(rl));
+    out.writeObject(roots.get(ri));
+    out.flush();
+
+    ASSERT_EQ(segs.size(), 2u);
+    ASSERT_EQ(segs[0].size(), kBuf);
+    const std::vector<std::uint8_t> &s = segs[1];
+    std::size_t rec = rawseg::headerBytes;
+    std::size_t tail = rec + fmt.arrayHeaderBytes() + sizeof(std::int32_t);
+    std::size_t end = rec + wordAlign(tail - rec);
+    ASSERT_EQ(wordAt(s, wordSize), end - rec) << "one int[1] record";
+    for (std::size_t i = tail; i < end; ++i)
+        EXPECT_EQ(s[i], 0u) << "pad byte " << i - tail;
+}
+
 TEST_F(SkywayTest, FileOfConcatenatedSegmentsRoundTrips)
 {
     // A 1 KB output buffer writes the file as many raw segments back

@@ -9,7 +9,8 @@
  * ends, ParallelSender fan-out and TCP transport parity under forced
  * compaction, the SkywaySan corruption kinds for compact segments, and
  * the receiver veto (validated corrupt input dies with a diagnostic
- * instead of crashing the expander).
+ * instead of crashing the expander), and the exact wire bytes of
+ * representative streams under every mode.
  */
 
 #include <gtest/gtest.h>
@@ -79,6 +80,15 @@ class WireCompactTest : public ::testing::Test
             std::size_t buffer_bytes = 64 << 10)
     {
         nodeA_.skyway().setWireCompactMode(mode);
+        return stream(roots, buffer_bytes);
+    }
+
+    /** Serialize the graphs at @p roots in a new phase, keeping the
+     *  mode and the per-class decisions earlier streams made. */
+    std::vector<std::uint8_t>
+    stream(const std::vector<Address> &roots,
+           std::size_t buffer_bytes = 64 << 10)
+    {
         nodeA_.skyway().shuffleStart();
         std::vector<std::uint8_t> bytes;
         SkywayObjectOutputStream out(
@@ -581,6 +591,157 @@ TEST_F(WireCompactTest, ReceiverNamesTheValidatorsFault)
                 EXPECT_DEATH(receive(bad), sanitize::wireFaultName(f))
                     << corruptionKindName(kind) << " seed " << seed;
             }
+        }
+    }
+}
+
+/** 64-bit FNV-1a of @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST_F(WireCompactTest, WireBytesArePinned)
+{
+    // The exact bytes of ten streams under each mode, as a length and
+    // an FNV-1a digest, so an encoder rewrite that moves one byte
+    // fails here. Identity hashes come from the heap's counter and the
+    // arrays from fixed seeds, so the bytes do not depend on the
+    // build. Each mode runs the streams in order without resetting
+    // its decisions: Auto demotes long[] during stream 7 and ships
+    // stream 8 raw, and its stream 10 is a compact segment carrying
+    // long[] records as raw items.
+    LocalRoots roots(nodeA_.heap());
+    constexpr std::size_t kNull = ~std::size_t{0};
+    std::size_t p1 = roots.push(makePoint(nodeA_, 1, 2));
+    nodeA_.heap().identityHash(roots.get(p1));
+    std::size_t p2 = roots.push(makePoint(nodeA_, 3, 4));
+    std::size_t list = roots.push(makeList(nodeA_, roots, 40));
+    std::size_t mixed = roots.push(makeMixed(nodeA_, roots, "pinned"));
+    Klass *pairK = nodeA_.klasses().load("test.Pair");
+    std::size_t pair = roots.push(nodeA_.heap().allocateInstance(pairK));
+    field::setRef(nodeA_.heap(), roots.get(pair),
+                  pairK->requireField("left"), roots.get(mixed));
+    field::setRef(nodeA_.heap(), roots.get(pair),
+                  pairK->requireField("right"), roots.get(list));
+    std::size_t refs =
+        roots.push(nodeA_.builder().makeRefArray("test.Point", 9));
+    for (std::size_t i = 0; i < 9; i += 2) {
+        Address pt = makePoint(nodeA_, static_cast<int>(i), 7);
+        array::setRef(nodeA_.heap(), roots.get(refs), i, pt);
+    }
+    std::vector<std::int64_t> sparse(4096, 0);
+    for (std::size_t i = 0; i < sparse.size(); i += 64)
+        sparse[i] = static_cast<std::int64_t>(i) * 3 + 1;
+    std::size_t rle = roots.push(nodeA_.builder().makeLongArray(sparse));
+    std::vector<std::int32_t> ints(301, 0);
+    ints[5] = 9;
+    ints[300] = -1;
+    std::size_t rleInts = roots.push(nodeA_.builder().makeIntArray(ints));
+    Rng rng(0x5EED);
+    std::vector<std::int64_t> noise(512);
+    for (auto &v : noise)
+        v = static_cast<std::int64_t>(rng.nextU64());
+    std::size_t plain = roots.push(nodeA_.builder().makeLongArray(noise));
+    std::size_t chars =
+        roots.push(nodeA_.builder().makeCharArray("plain chars"));
+    std::size_t doubles =
+        roots.push(nodeA_.builder().makeDoubleArray({0.5, -1.25, 3.0}));
+    std::vector<std::size_t> big;
+    for (int i = 0; i < 40; ++i) {
+        std::vector<std::int64_t> data(4096);
+        for (auto &v : data)
+            v = static_cast<std::int64_t>(rng.nextU64());
+        big.push_back(roots.push(nodeA_.builder().makeLongArray(data)));
+    }
+
+    struct Stream
+    {
+        std::vector<std::size_t> roots;
+        std::size_t bufferBytes;
+    };
+    const Stream streams[] = {
+        {{p1, kNull, list, p1, p2}, 64 << 10}, // first-write, null, back
+        {{p2, list, p2, list, kNull}, 64 << 10}, // trailing back refs
+        {{list, mixed, pair, list}, 256},        // spilled roots
+        {{rle, rleInts}, 64 << 10},              // RLE arrays
+        {{plain, chars, doubles}, 64 << 10},     // plain arrays
+        {{mixed, refs, pair}, 64 << 10},         // mixed graph
+        {big, 64 << 10},                         // long[4096] x 40
+        {big, 64 << 10},                         // again, once demoted
+        {{pair, refs, p1}, 0},                   // SkywaySerializer
+        {{big[0], mixed, big[1]}, 64 << 10},     // raw items in compact
+    };
+    struct Pin
+    {
+        std::size_t len;
+        std::uint64_t digest;
+    };
+    const std::pair<WireCompactMode, std::vector<Pin>> pinned[] = {
+        {WireCompactMode::Off,
+         {{1728, 0xcd0a7d9c83d7dfb7ull},
+          {1696, 0x5c64e23acc2b585ull},
+          {2128, 0x36ab436843e86112ull},
+          {34080, 0x3a044789efb23fc7ull},
+          {4288, 0x2964aef12829028ull},
+          {2168, 0x7663b41bc8f43573ull},
+          {1313280, 0x1b326ee90e6ab732ull},
+          {1313280, 0x1b326ee90e6ab732ull},
+          {2208, 0x39b69210e0411e35ull},
+          {65888, 0x8502109ca1efb1b0ull}}},
+        {WireCompactMode::Force,
+         {{561, 0x10f1fc4231a98c0full},
+          {546, 0xc3f1ac1fc6c4610ull},
+          {703, 0xdfe52df0fd112ba5ull},
+          {352, 0x82570a12d57cdce2ull},
+          {4168, 0x3590e2106d7e246bull},
+          {691, 0xcc8e91f8baa12a9full},
+          {1311517, 0xfd9470e0bd2c4911ull},
+          {1311517, 0xfd9470e0bd2c4911ull},
+          {716, 0x7765993252ef121full},
+          {65659, 0x48c926da397b5e9full}}},
+        {WireCompactMode::Auto,
+         {{561, 0x10f1fc4231a98c0full},
+          {546, 0xc3f1ac1fc6c4610ull},
+          {703, 0xdfe52df0fd112ba5ull},
+          {352, 0x82570a12d57cdce2ull},
+          {4168, 0x3590e2106d7e246bull},
+          {691, 0xcc8e91f8baa12a9full},
+          {1311953, 0x79c64695996af09full},
+          {1313280, 0x1b326ee90e6ab732ull},
+          {716, 0x7765993252ef121full},
+          {65730, 0x199849665b1516dfull}}},
+    };
+
+    for (const auto &[mode, pins] : pinned) {
+        ASSERT_EQ(pins.size(), std::size(streams));
+        nodeA_.skyway().setWireCompactMode(mode);
+        for (std::size_t s = 0; s < std::size(streams); ++s) {
+            std::vector<Address> addrs;
+            for (std::size_t r : streams[s].roots)
+                addrs.push_back(r == kNull ? nullAddr : roots.get(r));
+            std::vector<std::uint8_t> bytes;
+            if (streams[s].bufferBytes != 0) {
+                bytes = stream(addrs, streams[s].bufferBytes);
+            } else {
+                nodeA_.skyway().shuffleStart();
+                SkywaySerializer ser(nodeA_.skyway());
+                VectorSink sink;
+                for (Address a : addrs)
+                    ser.writeObject(a, sink);
+                ser.endStream(sink);
+                bytes = sink.takeBytes();
+            }
+            EXPECT_EQ(bytes.size(), pins[s].len)
+                << "mode " << static_cast<int>(mode) << " stream " << s;
+            EXPECT_EQ(fnv1a(bytes), pins[s].digest)
+                << "mode " << static_cast<int>(mode) << " stream " << s;
         }
     }
 }

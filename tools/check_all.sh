@@ -1,8 +1,8 @@
 #!/bin/sh
 # The full local gate: tier-1 tests, the lint label, the validated
-# raw-wire pass (docs/SANITIZER.md), the forced-compaction pass
-# (docs/WIRE_FORMAT.md), and the SKYWAY_ANALYZE build
-# (docs/STATIC_ANALYSIS.md §5), in one command.
+# raw-wire pass (docs/SANITIZER.md), the adaptive- and
+# forced-compaction passes (docs/WIRE_FORMAT.md), and the
+# SKYWAY_ANALYZE build (docs/STATIC_ANALYSIS.md §5), in one command.
 #
 #   tools/check_all.sh [SOURCE_ROOT]
 #
@@ -14,17 +14,17 @@ set -eu
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 jobs=$(nproc 2>/dev/null || echo 2)
 
-echo "== [1/6] configure + build (default flags) =="
+echo "== [1/7] configure + build (default flags) =="
 cmake -B "$root/build" -S "$root"
 cmake --build "$root/build" -j "$jobs"
 
-echo "== [2/6] tier-1 test suite =="
+echo "== [2/7] tier-1 test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [3/6] lint label =="
+echo "== [3/7] lint label =="
 ctest --test-dir "$root/build" -L lint --output-on-failure
 
-echo "== [4/6] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
+echo "== [4/7] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
      "SKYWAY_GRAPH_CHECK=1) =="
 # Every transfer on the raw wire is vetted by the SkywaySan wire
 # validator on both sides and by the receiver's post-finalize graph
@@ -32,13 +32,20 @@ echo "== [4/6] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
 SKYWAY_WIRE_COMPACT=off SKYWAY_WIRE_CHECK=1 SKYWAY_GRAPH_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [5/6] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
+echo "== [5/7] adaptive-compaction suite (SKYWAY_WIRE_COMPACT=auto) =="
+# The per-segment choice: the encoder ships each segment compact or
+# raw by its items' size and the measured per-class feedback, with the
+# SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
+SKYWAY_WIRE_COMPACT=auto SKYWAY_WIRE_CHECK=1 \
+    ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+
+echo "== [6/7] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
 # Every eligible record takes the compact encode/expand path, with the
 # SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
 SKYWAY_WIRE_COMPACT=force SKYWAY_WIRE_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [6/6] static-analysis build (SKYWAY_ANALYZE=ON) =="
+echo "== [7/7] static-analysis build (SKYWAY_ANALYZE=ON) =="
 if command -v clang++ >/dev/null 2>&1; then
     CXX=clang++ cmake -B "$root/build-analyze" -S "$root" \
         -DSKYWAY_ANALYZE=ON
