@@ -2,8 +2,8 @@
  * @file
  * Heterogeneous-cluster transfer (paper section 3.1): the sender
  * runs the Skyway object layout (with the baddr header word), the
- * receiver a vanilla layout without it. The sender's FormatAdjuster
- * rewrites every clone while copying — the receiver pays nothing and
+ * receiver a vanilla layout without it. The sender writes every clone
+ * in the receiver's layout while copying — the receiver pays nothing and
  * uses the objects directly in its own format.
  */
 

@@ -250,16 +250,6 @@ ManagedHeap::dirtyCard(Address a)
 }
 
 void
-ManagedHeap::dirtyCardRange(Address a, std::size_t len)
-{
-    panicIf(!inOld(a), "dirtyCardRange on non-old address");
-    std::size_t first = (a - oldBase_) / config_.cardBytes;
-    std::size_t last = (a + len - 1 - oldBase_) / config_.cardBytes;
-    for (std::size_t i = first; i <= last && i < cards_.size(); ++i)
-        cards_[i] = 1;
-}
-
-void
 ManagedHeap::resetOldFreeList()
 {
     oldFree_.clear();

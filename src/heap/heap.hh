@@ -211,9 +211,6 @@ class ManagedHeap
 
     void dirtyCard(Address a);
 
-    /** Conservatively dirty every card overlapping [a, a+len). */
-    void dirtyCardRange(Address a, std::size_t len);
-
     bool
     cardIsDirty(std::size_t idx) const
     {

@@ -107,10 +107,9 @@ class Klass
 
     /**
      * Install the driver-assigned type ID (paper Algorithm 1 line 35).
-     * The word is atomic because concurrent sender threads race the
-     * first publication of a class's id (SkywayContext::tidFor); every
-     * writer stores the same driver-assigned value, so relaxed order
-     * suffices.
+     * The type resolver does, on the thread that loads the class
+     * (TypeResolver's load hook); sender threads read the word
+     * without a lock, so it is atomic, and relaxed order suffices.
      */
     void
     setTid(std::int32_t tid)

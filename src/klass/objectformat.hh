@@ -45,8 +45,8 @@ constexpr std::size_t offsetBaddr = 16;
 
 /**
  * Geometry of objects in one runtime. A cluster is homogeneous when all
- * nodes share one ObjectFormat; the Skyway sender's FormatAdjuster
- * rewrites clones when they differ.
+ * nodes share one ObjectFormat; when they differ, the Skyway sender
+ * writes each clone in the receiver's format.
  */
 struct ObjectFormat
 {

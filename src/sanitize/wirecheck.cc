@@ -10,7 +10,7 @@ namespace sanitize
 using wire::wordAt;
 
 WireValidator::WireValidator(TypeResolver &resolver, WireCheckConfig cfg)
-    : cfg_(cfg), klasses_(resolver)
+    : cfg_(cfg), types_(resolver)
 {
 }
 

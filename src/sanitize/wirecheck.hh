@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "skyway/wiredecode.hh"
+#include "typereg/registry.hh"
 
 namespace skyway
 {
@@ -169,7 +170,7 @@ class WireValidator
     // where they are and compact items without being expanded. The
     // shared accounting uses *expanded* record sizes, so references
     // between raw and compact segments of one stream cross-check.
-    Klass *klassFor(std::int32_t tid) { return klasses_(tid); }
+    Klass *klassFor(std::int32_t tid) { return types_.klassFor(tid); }
     std::uint8_t *
     inPlace(const std::uint8_t *records, std::size_t)
     {
@@ -185,7 +186,7 @@ class WireValidator
     void onItem(std::uint64_t at) { index_.compactItemOffsets.push_back(at); }
 
     WireCheckConfig cfg_;
-    wire::KlassCache klasses_;
+    TypeResolver &types_;
 
     std::vector<WireDiagnostic> diags_;
     WireSummary sum_;

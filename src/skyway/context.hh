@@ -1,9 +1,10 @@
 /**
  * @file
  * Per-JVM Skyway state: the shuffle-phase counter driven by
- * shuffleStart() (paper section 3.3), the post-transfer field-update
- * registry (the registerUpdate API), and the Skyway-internal marker
- * classes that delimit top-level objects inside buffers.
+ * shuffleStart() (paper section 3.3), the stream-id allocator, the
+ * post-transfer field-update registry (the registerUpdate API), the
+ * node's type resolver, the SkywaySan debug switches, and the
+ * compact-wire policy shared by the node's streams.
  */
 
 #ifndef SKYWAY_SKYWAY_CONTEXT_HH
@@ -187,32 +188,6 @@ class SkywayContext
         return id;
     }
 
-    /**
-     * The global type id for @p k, registering it if needed. Callable
-     * from concurrent sender threads: the common path is one relaxed
-     * load of the cached id; the first-registration slow path is
-     * serialized because the resolver (registry view + network) is
-     * not thread-safe.
-     */
-    std::int32_t
-    tidFor(Klass *k) EXCLUDES(tidMutex_)
-    {
-        std::int32_t t = k->tid();
-        if (t != Klass::unregisteredTid)
-            return t;
-        // Serializes the first registration only; the resolver may
-        // perform a network round trip, so tidMutex_ must be leaf in
-        // the lock order — nothing below it ever takes another lock
-        // of ours (the transport's are a different subsystem).
-        MutexLock lock(tidMutex_);
-        t = k->tid();
-        if (t == Klass::unregisteredTid) {
-            t = resolver_.idForClass(k->name());
-            k->setTid(t);
-        }
-        return t;
-    }
-
     DebugFlags &debug() { return debug_; }
     const DebugFlags &debug() const { return debug_; }
 
@@ -269,7 +244,6 @@ class SkywayContext
     std::atomic<WireCompactMode> wireCompact_{WireCompactMode::Off};
     std::atomic<double> wireNsPerByte_{8.0};
     WireEncodingCache wireEncodings_;
-    Mutex tidMutex_;
     Mutex streamIdMutex_;
     Mutex phaseMutex_;
 };

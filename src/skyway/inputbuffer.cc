@@ -54,15 +54,15 @@ struct ReceiverMetrics
 InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
     : ctx_(ctx),
       heap_(ctx.heap()),
+      types_(ctx.resolver()),
       chunkBytes_(chunk_bytes),
-      fmt_(ctx.heap().format()),
-      klasses_(ctx.resolver())
+      fmt_(ctx.heap().format())
 {
     panicIf(chunk_bytes < 4 * wordSize,
             "InputBuffer: chunk size too small");
     if (ctx_.debug().validateWire)
         validator_ = std::make_unique<sanitize::WireValidator>(
-            ctx_.resolver(), sanitize::WireCheckConfig{fmt_});
+            types_, sanitize::WireCheckConfig{fmt_});
 }
 
 InputBuffer::~InputBuffer()

@@ -231,7 +231,7 @@ class InputBuffer
     // once, as it is parsed in place or placed — its klass pointer
     // installed and each reference absolutized now when its target has
     // arrived, else at finalize().
-    Klass *klassFor(std::int32_t tid) { return klasses_(tid); }
+    Klass *klassFor(std::int32_t tid) { return types_.klassFor(tid); }
     /** Records stay in place only in the open reservation. */
     std::uint8_t *inPlace(const std::uint8_t *records, std::size_t bytes);
     std::uint8_t *place(std::size_t bytes);
@@ -274,6 +274,7 @@ class InputBuffer
 
     SkywayContext &ctx_;
     ManagedHeap &heap_;
+    TypeResolver &types_;
     std::size_t chunkBytes_;
     ObjectFormat fmt_;
 
@@ -299,7 +300,6 @@ class InputBuffer
     /** Staging for compact wire bytes whose expansion overwrites the
      *  chunk region they arrived in (reused across segments). */
     std::vector<std::uint8_t> scratch_;
-    wire::KlassCache klasses_;
     SkywayReceiveStats stats_;
     /** Values of stats_ as of the last publishMetrics(). */
     SkywayReceiveStats published_;

@@ -20,9 +20,8 @@ namespace skyway
 {
 
 /**
- * A catalog with the bootstrap classes (String, boxes) and the
- * Skyway-internal marker classes already defined. Applications add
- * their own classes on top.
+ * A catalog with the bootstrap classes (String, boxes) already
+ * defined. Applications add their own classes on top.
  */
 ClassCatalog makeStandardCatalog();
 

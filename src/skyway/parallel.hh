@@ -67,9 +67,9 @@ class ParallelSender
 
     /**
      * Streams (and their ids) are created here, on the calling
-     * thread, so stream-id assignment is deterministic and the
-     * registry slow path (first tid of each class) is the only
-     * cross-thread contention left for the workers.
+     * thread, so stream-id assignment is deterministic; the workers
+     * then share only the baddr claims of the objects they copy and,
+     * on a compact stream, the per-class encoding decisions.
      */
     ParallelSender(SkywayContext &ctx, SinkFactory sinks,
                    ParallelSendConfig cfg = ParallelSendConfig{});

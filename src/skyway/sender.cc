@@ -123,58 +123,57 @@ SkywaySender::lookupVisited(Address o, std::uint64_t &rel)
 std::uint64_t
 SkywaySender::relForChild(Address o)
 {
+    // Copied by this stream already: a back reference, which needs
+    // neither the klass nor the size.
+    Word v = loadBaddr(o);
+    if (baddr::sidOf(v) == sid_ && baddr::tidOf(v) == tid_)
+        return baddr::relOf(v);
+
     const Klass *k = heap_.klassOf(o);
     std::size_t size = sizeInTarget(o, k);
-
-    Word v = loadBaddr(o);
-    while (true) {
-        if (baddr::sidOf(v) != sid_) {
-            // Unvisited this phase: try to claim it for this stream.
-            std::uint64_t new_addr = ob_.allocableAddr();
-            panicIf(new_addr > baddr::maxRel,
-                    "SkywaySender: output stream exceeds 1 TB");
-            Word desired = baddr::compose(sid_, tid_, new_addr);
-            if (casBaddr(o, v, desired)) {
-                ob_.claim(size);
-                gray_.push_back(GrayItem{o, new_addr});
-                return new_addr;
-            }
-            // v was refreshed by the failed CAS; re-examine.
-            ++stats_.casRetries;
-            continue;
+    std::uint64_t rel;
+    while (baddr::sidOf(v) != sid_) {
+        // Unvisited this phase: try to claim it for this stream.
+        rel = ob_.allocableAddr();
+        panicIf(rel > baddr::maxRel,
+                "SkywaySender: output stream exceeds 1 TB");
+        if (casBaddr(o, v, baddr::compose(sid_, tid_, rel))) {
+            ob_.claim(size);
+            gray_.push_back(GrayItem{o, rel, k, size});
+            return rel;
         }
-        if (baddr::tidOf(v) == tid_)
-            return baddr::relOf(v);
-
-        // Claimed by another stream this phase: fall back to the
-        // stream-local hash table and duplicate the object into this
-        // buffer.
-        auto it = fallback_.find(o);
-        if (it != fallback_.end())
-            return it->second;
-        ++stats_.hashFallbacks;
-        std::uint64_t new_addr = ob_.claim(size);
-        fallback_.emplace(o, new_addr);
-        gray_.push_back(GrayItem{o, new_addr});
-        return new_addr;
+        // v was refreshed by the failed CAS; re-examine.
+        ++stats_.casRetries;
     }
+
+    // Claimed by another stream this phase: duplicate the object into
+    // this buffer once, and remember where in the stream-local table.
+    auto it = fallback_.find(o);
+    if (it != fallback_.end())
+        return it->second;
+    ++stats_.hashFallbacks;
+    rel = ob_.claim(size);
+    fallback_.emplace(o, rel);
+    gray_.push_back(GrayItem{o, rel, k, size});
+    return rel;
 }
 
 void
-SkywaySender::writeRecord(Address s, std::uint64_t addr)
+SkywaySender::writeRecord(const GrayItem &g)
 {
-    Klass *k = heap_.klassOf(s);
-    std::size_t size = sizeInTarget(s, k);
+    Address s = g.obj;
+    const Klass *k = g.klass;
+    std::size_t size = g.size;
     // Algorithm 2 line 10: the record lands at addr - flushedBytes in
     // the physical buffer; OutputBuffer::writeAt performs that
     // subtraction and flushes first when the record does not fit.
-    std::uint8_t *dst = ob_.writeAt(addr, size);
+    std::uint8_t *dst = ob_.writeAt(g.addr, size);
 
     // Header: reset GC/lock bits but keep the cached hashcode; klass
     // word becomes the global type id; baddr is cleared.
     Word m = mark::resetForTransfer(heap_.markOf(s));
     std::memcpy(dst + offsetMark, &m, wordSize);
-    std::int32_t tid = ctx_.tidFor(k);
+    std::int32_t tid = k->tid();
     Word tid_word = static_cast<Word>(static_cast<std::uint32_t>(tid));
     std::memcpy(dst + offsetKlass, &tid_word, wordSize);
     if (dstFmt_.hasBaddr) {
@@ -278,10 +277,22 @@ SkywaySender::publishMetrics()
 void
 SkywaySender::drain()
 {
-    while (!gray_.empty()) {
-        GrayItem item = gray_.front();
-        gray_.pop_front();
-        writeRecord(item.obj, item.addr);
+    // A FIFO read from head that keeps its storage across calls (a
+    // deque frees and reallocates a block every few items). What it
+    // consumed goes when it empties, or once that is over 4096 items
+    // and at least as many as are still queued, so it holds at most
+    // twice its queued items plus 4096.
+    std::size_t head = 0;
+    while (head < gray_.size()) {
+        GrayItem item = gray_[head++];
+        if (head == gray_.size()) {
+            gray_.clear();
+            head = 0;
+        } else if (head >= 4096 && 2 * head >= gray_.size()) {
+            gray_.erase(gray_.begin(), gray_.begin() + head);
+            head = 0;
+        }
+        writeRecord(item);
     }
 }
 

@@ -20,8 +20,8 @@
 #define SKYWAY_SKYWAY_SENDER_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "skyway/baddr.hh"
 #include "skyway/context.hh"
@@ -111,10 +111,13 @@ class SkywaySender
     void publishMetrics();
 
   private:
+    /** A claimed object, sized once, when it was claimed. */
     struct GrayItem
     {
         Address obj;
         std::uint64_t addr;
+        const Klass *klass;
+        std::size_t size;
     };
 
     /** Atomic accessors for the baddr header word. */
@@ -134,8 +137,8 @@ class SkywaySender
      */
     std::uint64_t relForChild(Address o);
 
-    /** Clone the record for @p s at logical address @p addr. */
-    void writeRecord(Address s, std::uint64_t addr);
+    /** Clone the record for @p g at its logical address. */
+    void writeRecord(const GrayItem &g);
 
     /** Add @p root to the open segment's root table. */
     void addRoot(Word root);
@@ -156,7 +159,7 @@ class SkywaySender
     std::ptrdiff_t headerDelta_;
     std::uint8_t sid_ = 0;
 
-    std::deque<GrayItem> gray_;
+    std::vector<GrayItem> gray_;
     /** Stream-local table for objects claimed by other streams. */
     std::unordered_map<Address, std::uint64_t> fallback_;
 

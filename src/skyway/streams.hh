@@ -263,8 +263,6 @@ class SkywaySerializer : public Serializer
     /** Aggregated sender stats across streams in this phase. */
     SkywaySendStats sendStats() const;
 
-    const SkywayContext &context() const { return ctx_; }
-
   private:
     void bindSink(ByteSink &out);
     void ingest(ByteSource &in);
@@ -280,38 +278,6 @@ class SkywaySerializer : public Serializer
 
     std::unique_ptr<SkywayObjectInputStream> inStream_;
     std::vector<std::unique_ptr<InputBuffer>> retired_;
-};
-
-/** Factory wiring per-node SkywayContexts into the framework. */
-class SkywaySerializerFactory : public SerializerFactory
-{
-  public:
-    using CtxLookup = std::function<SkywayContext &(const SdEnv &)>;
-
-    explicit SkywaySerializerFactory(CtxLookup lookup,
-                                     std::size_t buffer_bytes =
-                                         defaultOutputBufferBytes,
-                                     std::size_t chunk_bytes =
-                                         defaultInputChunkBytes)
-        : lookup_(std::move(lookup)),
-          bufferBytes_(buffer_bytes),
-          chunkBytes_(chunk_bytes)
-    {}
-
-    std::string name() const override { return "skyway"; }
-
-    std::unique_ptr<Serializer>
-    create(SdEnv env) override
-    {
-        return std::make_unique<SkywaySerializer>(lookup_(env),
-                                                  bufferBytes_,
-                                                  chunkBytes_);
-    }
-
-  private:
-    CtxLookup lookup_;
-    std::size_t bufferBytes_;
-    std::size_t chunkBytes_;
 };
 
 } // namespace skyway

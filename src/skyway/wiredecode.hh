@@ -41,11 +41,9 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <vector>
 
 #include "klass/klass.hh"
 #include "skyway/baddr.hh"
-#include "typereg/registry.hh"
 
 namespace skyway
 {
@@ -191,49 +189,6 @@ recordSize(const std::uint8_t *rec, std::size_t avail, const Klass *k,
     }
     return size <= avail ? size : 0;
 }
-
-/**
- * Dense wire type id -> klass cache (global ids are small and dense).
- * An id no registry assigned resolves to nullptr and is not cached.
- */
-class KlassCache
-{
-  public:
-    explicit KlassCache(TypeResolver &resolver) : resolver_(resolver)
-    {
-        // Pre-size to the registry's assignment ceiling so a decode
-        // never grows the vector mid-parse; ids assigned later (stale
-        // view) still grow it lazily.
-        std::int32_t max_id = resolver.maxAssignedId();
-        if (max_id >= 0)
-            cache_.resize(static_cast<std::size_t>(max_id) + 1, nullptr);
-    }
-
-    Klass *
-    operator()(std::int32_t tid)
-    {
-        auto idx = static_cast<std::size_t>(tid);
-        if (idx < cache_.size() && cache_[idx])
-            return cache_[idx];
-        return miss(idx);
-    }
-
-  private:
-    [[gnu::cold]] Klass *
-    miss(std::size_t idx)
-    {
-        Klass *k = resolver_.tryKlassForId(static_cast<std::int32_t>(idx));
-        if (k) {
-            if (idx >= cache_.size())
-                cache_.resize(idx + 1, nullptr);
-            cache_[idx] = k;
-        }
-        return k;
-    }
-
-    TypeResolver &resolver_;
-    std::vector<Klass *> cache_;
-};
 
 template <class Sink>
 class Decoder

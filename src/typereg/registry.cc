@@ -5,22 +5,44 @@
 namespace skyway
 {
 
-TypeRegistryDriver::TypeRegistryDriver(ClusterNetwork &net, NodeId node,
-                                       KlassTable &klasses)
-    : net_(net), node_(node), klasses_(klasses)
+void
+TypeResolver::attach()
 {
-    // Algorithm 1, driver part 1: number every class already loaded in
-    // the driver JVM.
     for (Klass *k : klasses_.loadedKlasses())
-        k->setTid(idForClass(k->name()));
-
-    // Classes the driver loads later get numbered on load.
+        number(*k);
     klasses_.setLoadHook(
-        [](void *ctx, Klass &k) {
-            auto *self = static_cast<TypeRegistryDriver *>(ctx);
-            k.setTid(self->idForClass(k.name()));
+        [](void *self, Klass &k) {
+            static_cast<TypeResolver *>(self)->number(k);
         },
         this);
+}
+
+void
+TypeResolver::number(Klass &k)
+{
+    std::int32_t tid = idForClass(k.name());
+    k.setTid(tid);
+    auto i = static_cast<std::size_t>(tid);
+    if (i >= index_.size())
+        index_.resize(i + 1, nullptr);
+    index_[i] = &k;
+}
+
+Klass *
+TypeResolver::loadFor(std::int32_t tid)
+{
+    // Loading runs the hook, which indexes the class for next time.
+    std::string name = nameFor(tid);
+    return name.empty() ? nullptr : klasses_.load(name);
+}
+
+TypeRegistryDriver::TypeRegistryDriver(ClusterNetwork &net, NodeId node,
+                                       KlassTable &klasses)
+    : TypeResolver(klasses), net_(net), node_(node)
+{
+    // Algorithm 1, driver part 1: number every class loaded in the
+    // driver JVM, now and later.
+    attach();
 
     // Algorithm 1, driver part 2: the daemon serving worker requests.
     net_.registerHandler(
@@ -44,34 +66,12 @@ TypeRegistryDriver::idForClass(const std::string &name)
 }
 
 std::string
-TypeRegistryDriver::nameForId(std::int32_t id)
+TypeRegistryDriver::nameFor(std::int32_t tid)
 {
     MutexLock lock(mutex_);
-    if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
-        panic("TypeRegistryDriver: unknown type id " + std::to_string(id));
-    return names_[id];
-}
-
-Klass *
-TypeRegistryDriver::klassForId(std::int32_t id)
-{
-    // nameForId locks internally; klasses_.load() must run unlocked
-    // (its load hook re-enters idForClass).
-    Klass *k = klasses_.load(nameForId(id));
-    if (k->tid() == Klass::unregisteredTid)
-        k->setTid(id);
-    return k;
-}
-
-Klass *
-TypeRegistryDriver::tryKlassForId(std::int32_t id)
-{
-    {
-        MutexLock lock(mutex_);
-        if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
-            return nullptr;
-    }
-    return klassForId(id);
+    if (tid < 0 || static_cast<std::size_t>(tid) >= names_.size())
+        return {};
+    return names_[tid];
 }
 
 std::vector<std::uint8_t>
@@ -116,19 +116,15 @@ TypeRegistryDriver::handle(NodeId, int tag,
     }
     if (tag == regmsg::lookupName) {
         ByteSource src(payload);
-        std::int32_t id = src.readI32();
         // An unknown id gets an empty-name reply instead of a driver
         // panic: a worker probing a forged id from a corrupt stream
-        // (the SkywaySan validator) must not crash the driver.
-        std::string name;
+        // must not crash the driver.
+        std::string name = nameFor(src.readI32());
         {
             MutexLock lock(mutex_);
             ++stats_.reverseLookupsServed;
-            if (id >= 0 &&
-                static_cast<std::size_t>(id) < names_.size()) {
-                name = names_[id];
+            if (!name.empty())
                 ++stats_.classStringsSent;
-            }
         }
         VectorSink sink;
         sink.writeString(name);
@@ -140,7 +136,7 @@ TypeRegistryDriver::handle(NodeId, int tag,
 
 TypeRegistryWorker::TypeRegistryWorker(ClusterNetwork &net, NodeId node,
                                        NodeId driver, KlassTable &klasses)
-    : net_(net), node_(node), driver_(driver), klasses_(klasses)
+    : TypeResolver(klasses), net_(net), node_(node), driver_(driver)
 {
     // Worker part 1: pull the full current registry in one batch —
     // most classes this worker will need are already numbered.
@@ -151,19 +147,9 @@ TypeRegistryWorker::TypeRegistryWorker(ClusterNetwork &net, NodeId node,
     for (std::size_t id = 0; id < n; ++id)
         insertView(src.readString(), static_cast<std::int32_t>(id));
 
-    // Number classes this worker already loaded before attaching.
-    for (Klass *k : klasses_.loadedKlasses()) {
-        if (k->tid() == Klass::unregisteredTid)
-            k->setTid(idForClass(k->name()));
-    }
-
-    // Worker part 2: number every future class as it loads.
-    klasses_.setLoadHook(
-        [](void *ctx, Klass &k) {
-            auto *self = static_cast<TypeRegistryWorker *>(ctx);
-            k.setTid(self->idForClass(k.name()));
-        },
-        this);
+    // Worker part 2: number every class this worker loads, already
+    // or later.
+    attach();
 }
 
 void
@@ -172,8 +158,6 @@ TypeRegistryWorker::insertView(const std::string &name, std::int32_t id)
     MutexLock lock(mutex_);
     view_[name] = id;
     idToName_[id] = name;
-    if (id > maxId_)
-        maxId_ = id;
 }
 
 RequestOptions
@@ -191,9 +175,7 @@ TypeRegistryWorker::idForClass(const std::string &name)
         auto it = view_.find(name);
         if (it != view_.end())
             return it->second;
-        // Miss: one remote LOOKUP, then cached forever. (Two sender
-        // threads racing on the same cold class both ask; the driver
-        // answers both with the same id.)
+        // Miss: one remote LOOKUP, then cached forever.
         ++stats_.remoteLookupsIssued;
         ++stats_.classStringsSent;
     }
@@ -209,75 +191,27 @@ TypeRegistryWorker::idForClass(const std::string &name)
 }
 
 std::string
-TypeRegistryWorker::nameForId(std::int32_t id)
+TypeRegistryWorker::nameFor(std::int32_t tid)
 {
     {
         MutexLock lock(mutex_);
-        auto it = idToName_.find(id);
+        auto it = idToName_.find(tid);
         if (it != idToName_.end())
             return it->second;
         // Stale view: the id was assigned after our snapshot.
         ++stats_.remoteLookupsIssued;
     }
     VectorSink sink;
-    sink.writeI32(id);
+    sink.writeI32(tid);
     std::vector<std::uint8_t> reply =
         net_.request(node_, driver_, regmsg::lookupName,
                      sink.takeBytes(), lookupOptions());
     ByteSource src(reply);
     std::string name = src.readString();
-    if (name.empty())
-        panic("TypeRegistryWorker: unknown type id " + std::to_string(id));
-    insertView(name, id);
+    // An empty name: no registry ever assigned the id.
+    if (!name.empty())
+        insertView(name, tid);
     return name;
-}
-
-Klass *
-TypeRegistryWorker::klassForId(std::int32_t id)
-{
-    std::string name;
-    {
-        MutexLock lock(mutex_);
-        auto it = idToName_.find(id);
-        if (it != idToName_.end())
-            name = it->second;
-    }
-    if (name.empty())
-        name = nameForId(id);
-    Klass *k = klasses_.findLoaded(name);
-    if (k)
-        return k;
-    // Known name, not yet loaded: instruct the class loader (unlocked
-    // — the load hook re-enters idForClass).
-    return klasses_.load(name);
-}
-
-Klass *
-TypeRegistryWorker::tryKlassForId(std::int32_t id)
-{
-    bool known;
-    {
-        MutexLock lock(mutex_);
-        known = idToName_.count(id) != 0;
-        if (!known)
-            ++stats_.remoteLookupsIssued;
-    }
-    if (!known) {
-        // Graceful stale-view probe: an empty-name reply means no
-        // registry ever assigned the id (it came from a corrupt
-        // stream).
-        VectorSink sink;
-        sink.writeI32(id);
-        std::vector<std::uint8_t> reply = net_.request(
-            node_, driver_, regmsg::lookupName, sink.takeBytes(),
-            lookupOptions());
-        ByteSource src(reply);
-        std::string name = src.readString();
-        if (name.empty())
-            return nullptr;
-        insertView(name, id);
-    }
-    return klassForId(id);
 }
 
 } // namespace skyway

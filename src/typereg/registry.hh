@@ -12,11 +12,21 @@
  * into object headers without any string traffic; a class-name string
  * crosses the wire at most once per class per machine.
  *
- * Receiver-side, a type ID found in an input buffer resolves through
- * the view; a stale view (the ID was assigned after the view was
- * pulled) triggers a reverse lookup ("LOOKUP_NAME") and, when the
- * class has never been loaded locally, instructs the class loader to
- * load it by name.
+ * TypeResolver owns both directions of a node's mapping. attach()
+ * numbers the classes already loaded and installs the class loader's
+ * load hook, which numbers each later class as it loads and records it
+ * in a dense per-node index, type ID -> klass. A decoder resolves an
+ * ID through klassFor(): an index hit is one bounds check and one
+ * load. A miss asks the registry for the name — the driver's table,
+ * the worker's view, or, when the view is stale (the ID was assigned
+ * after the view was pulled), a reverse lookup ("LOOKUP_NAME") — and
+ * has the class loader load it, which indexes it: each class misses
+ * at most once per node.
+ *
+ * Threading contract: like the KlassTable's own maps, the index is
+ * written only by the thread that loads a class, through the load
+ * hook, and a node must not load a class while another of its threads
+ * loads or decodes. Decoders read the index without a lock.
  */
 
 #ifndef SKYWAY_TYPEREG_REGISTRY_HH
@@ -43,41 +53,58 @@ constexpr int lookupName = 103;
 } // namespace regmsg
 
 /**
- * Both ends of the protocol expose this interface so the Skyway
- * sender/receiver code is agnostic to whether it runs on the driver.
+ * One node's registry endpoint. Both ends of the protocol derive from
+ * it, so the Skyway sender/receiver code is agnostic to whether it
+ * runs on the driver.
  */
 class TypeResolver
 {
   public:
+    TypeResolver(const TypeResolver &) = delete;
+    TypeResolver &operator=(const TypeResolver &) = delete;
     virtual ~TypeResolver() = default;
 
     /** The global ID for class @p name (registering on the driver). */
     virtual std::int32_t idForClass(const std::string &name) = 0;
 
-    /** The class name behind @p id. */
-    virtual std::string nameForId(std::int32_t id) = 0;
+    /**
+     * This node's klass for type ID @p tid, loading the class on first
+     * encounter; nullptr for an ID no registry assigned. A forged ID
+     * from a corrupt stream is thus a decoder fault, never a panic —
+     * on this node or, relayed, on the driver.
+     */
+    Klass *
+    klassFor(std::int32_t tid)
+    {
+        auto i = static_cast<std::size_t>(tid);
+        if (i < index_.size() && index_[i])
+            return index_[i];
+        return loadFor(tid);
+    }
+
+  protected:
+    explicit TypeResolver(KlassTable &klasses) : klasses_(klasses) {}
 
     /**
-     * Resolve @p id to this node's klass meta object, loading the
-     * class on first encounter.
+     * Number every class already loaded (Algorithm 1 lines 4-8) and
+     * every later one as it loads (line 35). Called once by the
+     * subclass constructor, when idForClass() can answer.
      */
-    virtual Klass *klassForId(std::int32_t id) = 0;
+    void attach();
 
-    /**
-     * Like klassForId() but returns nullptr for an id no registry ever
-     * assigned instead of panicking. The SkywaySan wire-format
-     * validator probes ids found in (possibly corrupt) streams and
-     * must be able to reject a forged id as a diagnostic — without a
-     * worker being able to crash the driver by relaying it.
-     */
-    virtual Klass *tryKlassForId(std::int32_t id) = 0;
+    /** The class name behind @p tid; "" when no registry assigned it. */
+    virtual std::string nameFor(std::int32_t tid) = 0;
 
-    /**
-     * The largest id this node has seen assigned, or -1 before any.
-     * Receivers size their tid caches from it up front; a later id
-     * (assigned after the call) is not an error, merely a cache grow.
-     */
-    virtual std::int32_t maxAssignedId() const = 0;
+  private:
+    /** Set @p k's ID and record it in the index (the load hook). */
+    void number(Klass &k);
+
+    /** klassFor()'s miss: load the class the registry names. */
+    [[gnu::cold]] Klass *loadFor(std::int32_t tid);
+
+    KlassTable &klasses_;
+    /** Type ID -> klass of every class this node numbered. */
+    std::vector<Klass *> index_;
 };
 
 /** Registry traffic statistics (tests assert the at-most-once claim). */
@@ -101,26 +128,13 @@ class TypeRegistryDriver : public TypeResolver
     /**
      * @param net      cluster fabric to serve requests on
      * @param node     the driver's node id
-     * @param klasses  the driver JVM's klass table; already-loaded
-     *                 classes are numbered immediately (Algorithm 1
-     *                 lines 4-8) and future loads hook in
+     * @param klasses  the driver JVM's klass table (attach())
      */
     TypeRegistryDriver(ClusterNetwork &net, NodeId node,
                        KlassTable &klasses);
 
     std::int32_t idForClass(const std::string &name) override
         EXCLUDES(mutex_);
-    std::string nameForId(std::int32_t id) override EXCLUDES(mutex_);
-    Klass *klassForId(std::int32_t id) override EXCLUDES(mutex_);
-    Klass *tryKlassForId(std::int32_t id) override EXCLUDES(mutex_);
-
-    /** Driver ids are dense: the max is the count minus one. */
-    std::int32_t
-    maxAssignedId() const override
-    {
-        MutexLock lock(mutex_);
-        return static_cast<std::int32_t>(names_.size()) - 1;
-    }
 
     /** Number of classes registered cluster-wide. */
     std::size_t
@@ -140,6 +154,9 @@ class TypeRegistryDriver : public TypeResolver
     /** Serialize the full registry (the REQUEST_VIEW reply). */
     std::vector<std::uint8_t> encodeView() const EXCLUDES(mutex_);
 
+  protected:
+    std::string nameFor(std::int32_t tid) override EXCLUDES(mutex_);
+
   private:
     std::vector<std::uint8_t> handle(NodeId src, int tag,
                                      const std::vector<std::uint8_t> &
@@ -147,13 +164,12 @@ class TypeRegistryDriver : public TypeResolver
 
     ClusterNetwork &net_;
     NodeId node_;
-    KlassTable &klasses_;
     /**
      * Guards registry_/names_/stats_. On the tcp transport handle()
      * runs on the destination node's pump thread, concurrent with the
      * driver JVM's own idForClass() calls. Held only across map
-     * accesses — never across klasses_.load(), whose load hook
-     * re-enters idForClass().
+     * accesses — never across a class load, whose load hook re-enters
+     * idForClass().
      */
     mutable Mutex mutex_;
     std::unordered_map<std::string, std::int32_t> registry_ GUARDED_BY(
@@ -169,8 +185,8 @@ class TypeRegistryWorker : public TypeResolver
 {
   public:
     /**
-     * Pulls the initial view from the driver and installs the
-     * class-loading hook on @p klasses.
+     * Pulls the initial view from the driver, then attaches to
+     * @p klasses (attach()).
      */
     TypeRegistryWorker(ClusterNetwork &net, NodeId node, NodeId driver,
                        KlassTable &klasses);
@@ -179,17 +195,6 @@ class TypeRegistryWorker : public TypeResolver
      *  never run under mutex_, ours or a caller's (lint rule 2). */
     std::int32_t idForClass(const std::string &name) override
         EXCLUDES(mutex_);
-    std::string nameForId(std::int32_t id) override EXCLUDES(mutex_);
-    Klass *klassForId(std::int32_t id) override EXCLUDES(mutex_);
-    Klass *tryKlassForId(std::int32_t id) override EXCLUDES(mutex_);
-
-    /** View ids may be sparse; tracked as entries are inserted. */
-    std::int32_t
-    maxAssignedId() const override
-    {
-        MutexLock lock(mutex_);
-        return maxId_;
-    }
 
     std::size_t
     viewSize() const
@@ -217,6 +222,10 @@ class TypeRegistryWorker : public TypeResolver
         lookupOpts_ = opts;
     }
 
+  protected:
+    /** The view's name, else one LOOKUP_NAME round trip (stale view). */
+    std::string nameFor(std::int32_t tid) override EXCLUDES(mutex_);
+
   private:
     void insertView(const std::string &name, std::int32_t id)
         EXCLUDES(mutex_);
@@ -225,19 +234,16 @@ class TypeRegistryWorker : public TypeResolver
     ClusterNetwork &net_;
     NodeId node_;
     NodeId driver_;
-    KlassTable &klasses_;
     /**
-     * Guards view_/idToName_/maxId_/stats_. Parallel sender threads
-     * share one worker view; held only across map accesses — never
-     * across net_.request() (a blocking round trip) or
-     * klasses_.load() (whose load hook re-enters idForClass()).
+     * Guards view_/idToName_/stats_. Held only across map accesses —
+     * never across net_.request() (a blocking round trip) or a class
+     * load (whose load hook re-enters idForClass()).
      */
     mutable Mutex mutex_;
     std::unordered_map<std::string, std::int32_t> view_ GUARDED_BY(
         mutex_);
     std::unordered_map<std::int32_t, std::string> idToName_ GUARDED_BY(
         mutex_);
-    std::int32_t maxId_ GUARDED_BY(mutex_) = -1;
     RegistryStats stats_ GUARDED_BY(mutex_);
     RequestOptions lookupOpts_ GUARDED_BY(mutex_);
 };

@@ -103,27 +103,6 @@ class JsbsSerializer : public Serializer
     JsbsCodec codec_;
 };
 
-/** Factory for one named codec. */
-class JsbsSerializerFactory : public SerializerFactory
-{
-  public:
-    explicit JsbsSerializerFactory(std::string codec_name)
-        : codecName_(std::move(codec_name))
-    {}
-
-    std::string name() const override { return codecName_; }
-
-    std::unique_ptr<Serializer>
-    create(SdEnv env) override
-    {
-        return std::make_unique<JsbsSerializer>(env,
-                                                jsbsCodec(codecName_));
-    }
-
-  private:
-    std::string codecName_;
-};
-
 } // namespace skyway
 
 #endif // SKYWAY_WORKLOADS_JSBS_FAMILY_HH

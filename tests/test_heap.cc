@@ -198,18 +198,6 @@ TEST_F(HeapTest, CardMarkingOnOldRefStore)
     EXPECT_TRUE(heap_->cardIsDirty(card));
 }
 
-TEST_F(HeapTest, DirtyCardRangeCoversAllCards)
-{
-    Address zone = heap_->allocateOldRaw(4096);
-    heap_->dirtyCardRange(zone, 4096);
-    std::size_t first = (zone - heap_->oldBase()) /
-                        heap_->config().cardBytes;
-    std::size_t last = (zone + 4095 - heap_->oldBase()) /
-                       heap_->config().cardBytes;
-    for (std::size_t i = first; i <= last; ++i)
-        EXPECT_TRUE(heap_->cardIsDirty(i));
-}
-
 TEST_F(HeapTest, RootSlotsRecycle)
 {
     Address a = builder_->makeInteger(1);

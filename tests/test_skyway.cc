@@ -204,6 +204,28 @@ TEST_F(SkywayTest, StreamingThroughTinyBuffer)
     EXPECT_TRUE(graphsEqual(nodeA_.heap(), head, nodeB_.heap(), q));
 }
 
+TEST_F(SkywayTest, ChainWithLeavesArrivesIdentical)
+{
+    // Each pair's left is the next pair and its right a leaf, so the
+    // sender's gray queue never empties while the chain is copied:
+    // past 4096 records it drops the prefix it has consumed.
+    LocalRoots roots(nodeA_.heap());
+    Klass *pk = nodeA_.klasses().load("test.Pair");
+    std::size_t chain = roots.push(nullAddr);
+    for (int i = 0; i < 10000; ++i) {
+        Address p = nodeA_.heap().allocateInstance(pk);
+        field::setRef(nodeA_.heap(), p, pk->requireField("left"),
+                      roots.get(chain));
+        roots.set(chain, p);
+        Address leaf = makePoint(nodeA_, i, -i);
+        field::setRef(nodeA_.heap(), roots.get(chain),
+                      pk->requireField("right"), leaf);
+    }
+    Address q = transfer(roots.get(chain));
+    EXPECT_TRUE(graphsEqual(nodeA_.heap(), roots.get(chain),
+                            nodeB_.heap(), q));
+}
+
 TEST_F(SkywayTest, OversizedRecordGrowsBuffers)
 {
     // One array record far larger than buffer and chunk sizes.
@@ -490,38 +512,6 @@ TEST_F(SkywayTest, MultiThreadedSendersShareObjects)
                                 nodeB_.heap(), q))
             << "stream " << t;
         keep_.push_back(in.releaseBuffer());
-    }
-}
-
-TEST_F(SkywayTest, ConcurrentTidRegistrationIsRaceFree)
-{
-    // Regression (TSan): Klass::tid_ is published by whichever sender
-    // thread first registers the class. Every thread must observe
-    // either the registered id (relaxed fast path) or take the
-    // serialized registration slow path — never a torn id and never
-    // two registrations for one class.
-    std::vector<Klass *> ks = {
-        nodeA_.klasses().load("test.Point"),
-        nodeA_.klasses().load("test.Pair"),
-        nodeA_.klasses().load("test.Node"),
-        nodeA_.klasses().load("test.Mixed"),
-        nodeA_.klasses().arrayOfPrimitive(FieldType::Int),
-    };
-    constexpr int kThreads = 8;
-    std::vector<std::vector<std::int32_t>> ids(kThreads);
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&, t] {
-            for (Klass *k : ks)
-                ids[t].push_back(nodeA_.skyway().tidFor(k));
-        });
-    for (auto &th : threads)
-        th.join();
-    for (int t = 1; t < kThreads; ++t)
-        EXPECT_EQ(ids[t], ids[0]) << "thread " << t;
-    for (std::size_t i = 0; i < ks.size(); ++i) {
-        EXPECT_EQ(ks[i]->tid(), ids[0][i]);
-        EXPECT_NE(ks[i]->tid(), Klass::unregisteredTid);
     }
 }
 
@@ -830,6 +820,92 @@ TEST_F(SkywayTest, FileOfConcatenatedSegmentsRoundTrips)
     EXPECT_EQ(in.readObject(), nullAddr);
     EXPECT_GT(in.buffer().chunkCount(), 1u);
     keep_.push_back(in.releaseBuffer());
+}
+
+/**
+ * Receive-side type resolution: a receiver maps each wire type id to
+ * its klass through the node's klass index, filled as classes load.
+ * Node 2 is constructed in each test, so the test decides whether
+ * its registry view predates a class.
+ */
+class ReceiveTypeIdTest : public ::testing::Test
+{
+  protected:
+    ReceiveTypeIdTest()
+        : catalog_(makeTestCatalog()),
+          net_(3),
+          driver_(catalog_, net_, 0, 0),
+          sender_(catalog_, net_, 1, 0)
+    {}
+
+    /** One stream carrying a fresh test.Point to @p receiver. */
+    void
+    sendPoint(Jvm &receiver)
+    {
+        sender_.skyway().shuffleStart();
+        Address p = makePoint(sender_, 3, 4);
+        SkywayObjectInputStream in(receiver.skyway());
+        SkywayObjectOutputStream out(
+            sender_.skyway(), [&in](const std::uint8_t *d, std::size_t n) {
+                in.feed(d, n);
+            });
+        out.writeObject(p);
+        out.flush();
+        in.finish();
+        EXPECT_TRUE(graphsEqual(sender_.heap(), p, receiver.heap(),
+                                in.readObject()));
+    }
+
+    static RegistryStats
+    viewStats(Jvm &node)
+    {
+        return dynamic_cast<TypeRegistryWorker &>(node.resolver())
+            .stats();
+    }
+
+    ClassCatalog catalog_;
+    ClusterNetwork net_;
+    Jvm driver_;
+    Jvm sender_;
+};
+
+TEST_F(ReceiveTypeIdTest, StaleViewCostsOneReverseLookup)
+{
+    Jvm receiver(catalog_, net_, 2, 0);
+    // Registered after the receiver pulled its view.
+    sender_.klasses().load("test.Point");
+    std::uint64_t before = viewStats(receiver).remoteLookupsIssued;
+
+    sendPoint(receiver);
+    EXPECT_EQ(viewStats(receiver).remoteLookupsIssued, before + 1)
+        << "one LOOKUP_NAME for the id the view missed";
+    EXPECT_EQ(driver_.registryDriver().stats().reverseLookupsServed, 1u);
+
+    sendPoint(receiver);
+    EXPECT_EQ(viewStats(receiver).remoteLookupsIssued, before + 1)
+        << "a second stream resolves from the klass index";
+    EXPECT_EQ(driver_.registryDriver().stats().reverseLookupsServed, 1u);
+}
+
+TEST_F(ReceiveTypeIdTest, ViewedClassLoadsDuringReceiveWithoutRequest)
+{
+    // Registered before the receiver pulls its view.
+    Klass *sent = sender_.klasses().load("test.Point");
+    Jvm receiver(catalog_, net_, 2, 0);
+    ASSERT_EQ(receiver.klasses().findLoaded("test.Point"), nullptr);
+    RegistryStats view = viewStats(receiver);
+    RegistryStats served = driver_.registryDriver().stats();
+
+    sendPoint(receiver);
+    Klass *k = receiver.klasses().findLoaded("test.Point");
+    ASSERT_NE(k, nullptr) << "the receive loaded the class";
+    EXPECT_EQ(k->tid(), sent->tid());
+    EXPECT_EQ(viewStats(receiver).remoteLookupsIssued,
+              view.remoteLookupsIssued);
+    EXPECT_EQ(driver_.registryDriver().stats().lookupsServed,
+              served.lookupsServed);
+    EXPECT_EQ(driver_.registryDriver().stats().reverseLookupsServed,
+              served.reverseLookupsServed);
 }
 
 } // namespace

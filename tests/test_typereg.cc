@@ -97,7 +97,7 @@ TEST_F(TypeRegTest, KlassForIdResolvesAndLoads)
     std::int32_t id = driverKt_->findLoaded("app.Record")->tid();
 
     EXPECT_EQ(workerKtA_->findLoaded("app.Record"), nullptr);
-    Klass *k = worker.klassForId(id);
+    Klass *k = worker.klassFor(id);
     ASSERT_NE(k, nullptr);
     EXPECT_EQ(k->name(), "app.Record");
     EXPECT_EQ(k->tid(), id);
@@ -113,7 +113,7 @@ TEST_F(TypeRegTest, StaleViewReverseLookup)
     TypeRegistryWorker wb(net_, 2, 0, *workerKtB_);
     std::int32_t late = wa.idForClass("app.Late");
 
-    Klass *k = wb.klassForId(late);
+    Klass *k = wb.klassFor(late);
     ASSERT_NE(k, nullptr);
     EXPECT_EQ(k->name(), "app.Late");
     EXPECT_EQ(driver.stats().reverseLookupsServed, 1u);
@@ -125,7 +125,7 @@ TEST_F(TypeRegTest, ArrayClassesAreNumbered)
     TypeRegistryWorker worker(net_, 1, 0, *workerKtA_);
     Klass *ia = workerKtA_->arrayOfPrimitive(FieldType::Int);
     EXPECT_NE(ia->tid(), Klass::unregisteredTid);
-    EXPECT_EQ(worker.klassForId(ia->tid()), ia);
+    EXPECT_EQ(worker.klassFor(ia->tid()), ia);
 }
 
 TEST_F(TypeRegTest, DriverResolvesItsOwnIds)
@@ -133,44 +133,18 @@ TEST_F(TypeRegTest, DriverResolvesItsOwnIds)
     driverKt_->load("app.Record");
     TypeRegistryDriver driver(net_, 0, *driverKt_);
     std::int32_t id = driver.idForClass("app.Record");
-    EXPECT_EQ(driver.klassForId(id)->name(), "app.Record");
-    EXPECT_EQ(driver.nameForId(id), "app.Record");
-    EXPECT_DEATH(driver.nameForId(99999), "unknown type id");
-}
-
-TEST_F(TypeRegTest, MaxAssignedIdTracksDenseDriverIds)
-{
-    TypeRegistryDriver driver(net_, 0, *driverKt_);
-    EXPECT_EQ(driver.maxAssignedId(), -1);
-    std::int32_t a = driver.idForClass("app.Record");
-    EXPECT_EQ(driver.maxAssignedId(), a);
-    std::int32_t b = driver.idForClass("app.Extra");
-    EXPECT_EQ(driver.maxAssignedId(), b);
-    EXPECT_EQ(driver.maxAssignedId(),
-              static_cast<std::int32_t>(driver.size()) - 1);
-}
-
-TEST_F(TypeRegTest, MaxAssignedIdGrowsWithStaleViewLookups)
-{
-    // The worker's view may be sparse: ids assigned after the view
-    // pull arrive out of order through lookups and reverse lookups,
-    // and maxAssignedId must track the high-water mark — receivers
-    // pre-size their tid caches from it.
-    driverKt_->load("app.Record");
-    TypeRegistryDriver driver(net_, 0, *driverKt_);
-    TypeRegistryWorker worker(net_, 1, 0, *workerKtA_);
-    EXPECT_EQ(worker.maxAssignedId(), driver.maxAssignedId());
-
-    // Another worker registers new classes the first view missed.
-    TypeRegistryWorker late(net_, 2, 0, *workerKtB_);
-    workerKtB_->load("app.Extra");
-    std::int32_t lateId = workerKtB_->load("app.Late")->tid();
-    EXPECT_LT(worker.maxAssignedId(), lateId) << "view is stale";
-
-    // A reverse lookup on the stale view raises the high-water mark.
-    EXPECT_EQ(worker.nameForId(lateId), "app.Late");
-    EXPECT_EQ(worker.maxAssignedId(), lateId);
-    EXPECT_EQ(driver.maxAssignedId(), lateId);
+    EXPECT_EQ(driver.klassFor(id), driverKt_->findLoaded("app.Record"));
+    // A class a worker registered but the driver never loaded loads
+    // on first resolution.
+    std::int32_t extra = driver.idForClass("app.Extra");
+    EXPECT_EQ(driverKt_->findLoaded("app.Extra"), nullptr);
+    Klass *k = driver.klassFor(extra);
+    ASSERT_NE(k, nullptr);
+    EXPECT_EQ(k->name(), "app.Extra");
+    EXPECT_EQ(k->tid(), extra);
+    // An id no registry assigned resolves to nothing, without a panic.
+    EXPECT_EQ(driver.klassFor(99999), nullptr);
+    EXPECT_EQ(driver.klassFor(-1), nullptr);
 }
 
 TEST_F(TypeRegTest, ViewEncodingRoundTrips)
@@ -183,7 +157,7 @@ TEST_F(TypeRegTest, ViewEncodingRoundTrips)
     // A worker constructed afterwards decodes every entry.
     TypeRegistryWorker worker(net_, 1, 0, *workerKtA_);
     EXPECT_EQ(worker.viewSize(), driver.size());
-    EXPECT_EQ(worker.nameForId(driver.idForClass("app.Extra")),
+    EXPECT_EQ(worker.klassFor(driver.idForClass("app.Extra"))->name(),
               "app.Extra");
 }
 

@@ -1,8 +1,9 @@
 #!/bin/sh
 # The full local gate: tier-1 tests, the lint label, the validated
 # raw-wire pass (docs/SANITIZER.md), the adaptive- and
-# forced-compaction passes (docs/WIRE_FORMAT.md), and the
-# SKYWAY_ANALYZE build (docs/STATIC_ANALYSIS.md §5), in one command.
+# forced-compaction passes (docs/WIRE_FORMAT.md), the SKYWAY_ANALYZE
+# build (docs/STATIC_ANALYSIS.md §5), and the concurrency label under
+# ThreadSanitizer (docs/SANITIZER.md), in one command.
 #
 #   tools/check_all.sh [SOURCE_ROOT]
 #
@@ -14,17 +15,17 @@ set -eu
 root=$(cd "${1:-$(dirname "$0")/..}" && pwd)
 jobs=$(nproc 2>/dev/null || echo 2)
 
-echo "== [1/7] configure + build (default flags) =="
+echo "== [1/8] configure + build (default flags) =="
 cmake -B "$root/build" -S "$root"
 cmake --build "$root/build" -j "$jobs"
 
-echo "== [2/7] tier-1 test suite =="
+echo "== [2/8] tier-1 test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [3/7] lint label =="
+echo "== [3/8] lint label =="
 ctest --test-dir "$root/build" -L lint --output-on-failure
 
-echo "== [4/7] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
+echo "== [4/8] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
      "SKYWAY_GRAPH_CHECK=1) =="
 # Every transfer on the raw wire is vetted by the SkywaySan wire
 # validator on both sides and by the receiver's post-finalize graph
@@ -32,20 +33,20 @@ echo "== [4/7] validated raw-wire suite (SKYWAY_WIRE_CHECK=1" \
 SKYWAY_WIRE_COMPACT=off SKYWAY_WIRE_CHECK=1 SKYWAY_GRAPH_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [5/7] adaptive-compaction suite (SKYWAY_WIRE_COMPACT=auto) =="
+echo "== [5/8] adaptive-compaction suite (SKYWAY_WIRE_COMPACT=auto) =="
 # The per-segment choice: the encoder ships each segment compact or
 # raw by its items' size and the measured per-class feedback, with the
 # SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
 SKYWAY_WIRE_COMPACT=auto SKYWAY_WIRE_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [6/7] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
+echo "== [6/8] forced-compaction suite (SKYWAY_WIRE_COMPACT=force) =="
 # Every eligible record takes the compact encode/expand path, with the
 # SkywaySan wire validator vetting both sides (docs/WIRE_FORMAT.md).
 SKYWAY_WIRE_COMPACT=force SKYWAY_WIRE_CHECK=1 \
     ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
 
-echo "== [7/7] static-analysis build (SKYWAY_ANALYZE=ON) =="
+echo "== [7/8] static-analysis build (SKYWAY_ANALYZE=ON) =="
 if command -v clang++ >/dev/null 2>&1; then
     CXX=clang++ cmake -B "$root/build-analyze" -S "$root" \
         -DSKYWAY_ANALYZE=ON
@@ -56,5 +57,14 @@ else
     cmake -B "$root/build-analyze" -S "$root" -DSKYWAY_ANALYZE=ON
 fi
 cmake --build "$root/build-analyze" -j "$jobs"
+
+echo "== [8/8] TSan concurrency suite (SKYWAY_SANITIZE=thread) =="
+# The multi-threaded code under ThreadSanitizer: the fabric's event
+# loops, parallel senders and their baddr claims, the metrics, and
+# the per-node klass index that decoders read without a lock.
+cmake -B "$root/build-tsan" -S "$root" -DSKYWAY_SANITIZE=thread
+cmake --build "$root/build-tsan" -j "$jobs"
+ctest --test-dir "$root/build-tsan" -L concurrency --output-on-failure \
+    -j "$jobs"
 
 echo "check_all: all gates green"
