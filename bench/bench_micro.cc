@@ -29,10 +29,11 @@ using namespace skyway;
 namespace
 {
 
-/** Shared two-node environment (built once). */
+/** Two-node environment: a sends, b (heap sized by @p b_heap) receives. */
 struct Env
 {
-    Env() : net(2), a(catalog(), net, 0, 0), b(catalog(), net, 1, 0)
+    explicit Env(HeapConfig b_heap = HeapConfig{})
+        : net(2), a(catalog(), net, 0, 0), b(catalog(), net, 1, 0, b_heap)
     {
         reg = std::make_shared<KryoRegistry>();
         kryoRegisterBuiltins(*reg);
@@ -74,6 +75,23 @@ struct Env
         field::setRef(a.heap(), rec, k->requireField("tag"),
                       tmp.get(rs));
         return roots.push(rec);
+    }
+
+    /** Stream the rooted @p recs from a to b; returns b's buffer. */
+    std::unique_ptr<InputBuffer>
+    transfer(LocalRoots &roots, const std::vector<std::size_t> &recs)
+    {
+        a.skyway().shuffleStart();
+        SkywayObjectInputStream in(b.skyway(), 64 << 10);
+        SkywayObjectOutputStream out(
+            a.skyway(), [&in](const std::uint8_t *d, std::size_t len) {
+                in.feed(d, len);
+            });
+        for (std::size_t r : recs)
+            out.writeObject(roots.get(r));
+        out.flush();
+        in.finish();
+        return in.releaseBuffer();
     }
 
     ClusterNetwork net;
@@ -237,24 +255,65 @@ BM_SkywayTransferBatch(benchmark::State &state)
         recs.push_back(e.makeRec(roots, i));
 
     for (auto _ : state) {
-        e.a.skyway().shuffleStart();
-        SkywayObjectInputStream in(e.b.skyway(), 64 << 10);
-        SkywayObjectOutputStream out(
-            e.a.skyway(),
-            [&in](const std::uint8_t *d, std::size_t len) {
-                in.feed(d, len);
-            });
-        for (std::size_t r : recs)
-            out.writeObject(roots.get(r));
-        out.flush();
-        in.finish();
-        benchmark::DoNotOptimize(in.buffer().roots().size());
-        auto buf = in.releaseBuffer();
+        auto buf = e.transfer(roots, recs);
+        benchmark::DoNotOptimize(buf->roots().size());
         buf->free();
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SkywayTransferBatch)->Arg(10)->Arg(100)->Arg(1000);
+
+/**
+ * One full collection of an 8 MiB old generation filled with received
+ * 1000-record bench.Rec buffers, of which arg percent (0 or 50) stay
+ * pinned and the rest are freed. Each iteration refills the old
+ * generation from empty with the clock paused.
+ */
+void
+BM_FullGc(benchmark::State &state)
+{
+    static Env e([] {
+        HeapConfig cfg;
+        cfg.oldBytes = 8 << 20;
+        return cfg;
+    }());
+    ManagedHeap &heap = e.b.heap();
+    LocalRoots roots(e.a.heap());
+    std::vector<std::size_t> recs;
+    for (int i = 0; i < 1000; ++i)
+        recs.push_back(e.makeRec(roots, i));
+
+    const bool keepHalf = state.range(0) == 50;
+    std::vector<std::unique_ptr<InputBuffer>> kept;
+    std::uint64_t sweptBytes = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        kept.clear();
+        e.b.gc().fullGc();
+        // Stop while one more buffer surely fits, so the fill itself
+        // never triggers a collection. A buffer not kept is freed as
+        // it goes out of scope.
+        const std::size_t cap = heap.config().oldBytes;
+        std::size_t last = 0;
+        for (int n = 0; heap.usedOldBytes() + 2 * last <= cap; ++n) {
+            std::size_t before = heap.usedOldBytes();
+            auto buf = e.transfer(roots, recs);
+            last = heap.usedOldBytes() - before;
+            if (keepHalf && n % 2 == 0)
+                kept.push_back(std::move(buf));
+        }
+        state.ResumeTiming();
+        e.b.gc().fullGc();
+        sweptBytes += e.b.gc().lastCycle().oldSweptBytes;
+    }
+    kept.clear();
+    state.counters["swept_mb"] = benchmark::Counter(
+        static_cast<double>(sweptBytes) / (1 << 20),
+        benchmark::Counter::kAvgIterations);
+}
+// Each iteration refills 8 MiB untimed (~15 ms); a fixed count keeps
+// that refill from dominating the run as the collection gets faster.
+BENCHMARK(BM_FullGc)->Arg(0)->Arg(50)->Iterations(20);
 
 /**
  * Auto-mode sends on both sides of the per-segment raw/compact

@@ -1,6 +1,8 @@
 #include "gc/collector.hh"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "heap/objectops.hh"
 #include "obs/metrics.hh"
@@ -245,16 +247,28 @@ GenerationalGc::fullGc()
 void
 GenerationalGc::markFrom(const std::vector<Address> &roots)
 {
+    const Address base = heap_.oldBase();
+    const Address top = heap_.oldTop();
+    std::size_t words = (top - base) / wordSize;
+    if (markBits_.size() * 64 < words) {
+        markBits_.resize((words + 63) / 64, 0);
+        markSummary_.resize((markBits_.size() + 63) / 64, 0);
+    }
+
     std::vector<Address> stack(roots);
     while (!stack.empty()) {
         Address obj = stack.back();
         stack.pop_back();
-        if (obj == nullAddr)
+        panicIf(obj < base || obj >= top,
+                "GenerationalGc: marking an address outside the old "
+                "generation");
+        std::size_t bit = (obj - base) / wordSize;
+        std::uint64_t mask = std::uint64_t{1} << (bit % 64);
+        std::uint64_t &word = markBits_[bit / 64];
+        if (word & mask)
             continue;
-        Word m = heap_.markOf(obj);
-        if (mark::isGcMarked(m))
-            continue;
-        heap_.setMark(obj, mark::setGcMarked(m));
+        word |= mask;
+        markSummary_[bit / 4096] |= std::uint64_t{1} << (bit / 64 % 64);
         ++last_.markedObjects;
         forEachRefSlot(heap_, obj, [&](std::size_t off) {
             Address t = heap_.loadRef(obj, off);
@@ -268,56 +282,65 @@ void
 GenerationalGc::sweepOld()
 {
     heap_.resetOldFreeList();
-    ManagedHeap::OpaquePinCursor opaque = heap_.opaquePins();
+    const Address base = heap_.oldBase();
+    const Address top = heap_.oldTop();
 
-    Address a = heap_.oldBase();
-    Address end = heap_.oldTop();
-    Address freeStart = nullAddr;
-    std::size_t liveBytes = 0;
+    std::vector<ManagedHeap::PinnedRange> pins;
+    for (const ManagedHeap::PinnedRange &pr : heap_.pinnedRanges())
+        if (pr.bytes)
+            pins.push_back(pr);
+    std::sort(pins.begin(), pins.end(),
+              [](const auto &x, const auto &y) { return x.addr < y.addr; });
 
-    auto flushFree = [&](Address upTo) {
-        if (freeStart == nullAddr)
-            return;
-        std::size_t len = upTo - freeStart;
-        if (len >= 2 * wordSize) {
-            heap_.addOldFreeRange(freeStart, len);
-            last_.oldSweptBytes += len;
-        } else if (len > 0) {
-            // Too small to track: keep as (dead) filler-free bytes.
-            liveBytes += len;
-            if (len >= 2 * wordSize)
-                heap_.writeFiller(freeStart, len);
+    // [base, liveEnd) is swept; liveEnd is the end of the last live
+    // object or pin seen.
+    Address liveEnd = base;
+    std::size_t usedBytes = 0;
+
+    // A live object or pin of @p bytes at @p next: the gap since the
+    // last live thing is dead.
+    auto liveAt = [&](Address next, std::size_t bytes) {
+        panicIf(next < liveEnd,
+                "GenerationalGc: live objects or pinned ranges overlap");
+        std::size_t gap = next - liveEnd;
+        if (gap >= 2 * wordSize) {
+            heap_.addOldFreeRange(liveEnd, gap);
+            last_.oldSweptBytes += gap;
+        } else if (gap) {
+            // Too small to track: stays used, skippable by old-gen walks.
+            heap_.writeFillerAny(liveEnd, gap);
+            usedBytes += gap;
         }
-        freeStart = nullAddr;
+        liveEnd = next + bytes;
+        usedBytes += bytes;
     };
 
-    while (a < end) {
-        if (const auto *pr = opaque.at(a)) {
-            flushFree(a);
-            liveBytes += pr->bytes;
-            a = pr->addr + pr->bytes;
-            continue;
+    // Pins are live whole, marked objects inside them included.
+    std::size_t nextPin = 0;
+    auto pinsUpTo = [&](Address a) {
+        while (nextPin < pins.size() && pins[nextPin].addr <= a) {
+            const ManagedHeap::PinnedRange &pr = pins[nextPin++];
+            liveAt(pr.addr, pr.bytes);
         }
-        if (ManagedHeap::isFiller(a)) {
-            if (freeStart == nullAddr)
-                freeStart = a;
-            a += ManagedHeap::fillerSize(a);
-            continue;
+    };
+
+    for (std::size_t s = 0; s < markSummary_.size(); ++s) {
+        for (std::uint64_t marked = std::exchange(markSummary_[s], 0);
+             marked; marked &= marked - 1) {
+            std::size_t i = s * 64 + std::countr_zero(marked);
+            for (std::uint64_t bits = std::exchange(markBits_[i], 0); bits;
+                 bits &= bits - 1) {
+                Address obj =
+                    base + (i * 64 + std::countr_zero(bits)) * wordSize;
+                pinsUpTo(obj);
+                if (obj >= liveEnd)
+                    liveAt(obj, heap_.objectSize(obj));
+            }
         }
-        std::size_t size = heap_.objectSize(a);
-        Word m = heap_.markOf(a);
-        if (mark::isGcMarked(m)) {
-            flushFree(a);
-            heap_.setMark(a, mark::clearGcMarked(m));
-            liveBytes += size;
-        } else {
-            if (freeStart == nullAddr)
-                freeStart = a;
-        }
-        a += size;
     }
-    flushFree(end);
-    heap_.setOldUsedBytes(liveBytes);
+    pinsUpTo(top);
+    liveAt(top, 0);
+    heap_.setOldUsedBytes(usedBytes);
 }
 
 } // namespace skyway

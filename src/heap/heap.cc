@@ -161,7 +161,10 @@ ManagedHeap::allocateOldForGc(std::size_t bytes)
                 fr.bytes = rest;
                 writeFiller(fr.addr, rest);
             } else {
-                // Too small to track; absorb into the allocation.
+                // Too small to track: the caller gets the request, and
+                // a one-word remainder stays used under a filler so
+                // old-gen walks can step over its stale bytes.
+                writeFillerAny(a + bytes, rest);
                 bytes = fr.bytes;
                 fr.bytes = 0;
             }

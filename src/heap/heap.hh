@@ -277,7 +277,8 @@ class ManagedHeap
      * absolutization the range becomes *walkable*: its objects are
      * ordinary objects the collectors treat as live roots, until the
      * developer frees the buffer (paper section 3.2) and the range is
-     * unpinned.
+     * unpinned. Either way the full GC keeps the whole range, fillers
+     * included, and never allocates into it.
      */
     struct PinnedRange
     {

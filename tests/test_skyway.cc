@@ -330,6 +330,41 @@ TEST_F(SkywayTest, FreedBufferIsCollected)
     EXPECT_LT(nodeB_.heap().usedOldBytes(), used);
 }
 
+TEST_F(SkywayTest, RootedReceivedObjectOutlivesItsFreedBuffer)
+{
+    LocalRoots roots(nodeA_.heap());
+    Address head = makeList(nodeA_, roots, 200);
+    nodeB_.gc().fullGc();
+    std::size_t usedBefore = nodeB_.heap().usedOldBytes();
+    Address q = transfer(head);
+
+    // Keep the last ten nodes (values 9..0) reachable from a root,
+    // then free the buffer: they survive in place, and the rest of the
+    // buffer's chunk is reclaimed.
+    Klass *nodeK = nodeB_.klasses().load("test.Node");
+    const FieldDesc &next = nodeK->requireField("next");
+    Address tail = q;
+    for (int i = 0; i < 190; ++i)
+        tail = field::getRef(nodeB_.heap(), tail, next);
+    std::size_t slot = nodeB_.heap().addRoot(tail);
+    keep_.back()->free();
+    nodeB_.gc().fullGc();
+
+    EXPECT_EQ(nodeB_.heap().root(slot), tail) << "old objects stay put";
+    Address cur = tail;
+    for (int v = 9; v >= 0; --v) {
+        ASSERT_NE(cur, nullAddr);
+        EXPECT_EQ(field::get<std::int64_t>(nodeB_.heap(), cur,
+                                           nodeK->requireField("value")),
+                  v);
+        cur = field::getRef(nodeB_.heap(), cur, next);
+    }
+    EXPECT_EQ(cur, nullAddr);
+    EXPECT_EQ(nodeB_.heap().usedOldBytes(),
+              usedBefore + 10 * nodeK->instanceBytes());
+    nodeB_.heap().removeRoot(slot);
+}
+
 TEST_F(SkywayTest, FieldUpdateAppliedOnReceive)
 {
     nodeB_.skyway().updates().registerUpdate(
