@@ -123,7 +123,6 @@ withAge(Word m, int age)
 
 constexpr bool isGcMarked(Word m) { return (m & gcMarkBit) != 0; }
 constexpr Word setGcMarked(Word m) { return m | gcMarkBit; }
-constexpr Word clearGcMarked(Word m) { return m & ~gcMarkBit; }
 
 /**
  * Reset the machine-specific bits when a clone leaves the machine

@@ -7,58 +7,15 @@ namespace skyway
 
 FlinkCluster::FlinkCluster(const ClassCatalog &catalog,
                            FlinkSerMode mode, FlinkConfig config)
-    : config_(config),
-      mode_(mode),
-      net_(std::make_unique<ClusterNetwork>(config.numWorkers + 1,
-                                            config.network,
-                                            config.transport)),
-      breakdowns_(config.numWorkers)
+    : SparkCluster(catalog, skywayFactory, config), mode_(mode)
 {
-    nodes_.push_back(
-        std::make_unique<Jvm>(catalog, *net_, 0, 0, HeapConfig{}));
-    for (int w = 0; w < config.numWorkers; ++w) {
-        nodes_.push_back(std::make_unique<Jvm>(
-            catalog, *net_, w + 1, 0, config.workerHeap));
-        nodes_.back()->disk() = SimDisk(config.disk);
-    }
-    for (int w = 0; w < config.numWorkers; ++w)
-        skywaySer_.push_back(
-            std::make_unique<SkywaySerializer>(worker(w).skyway()));
-}
-
-PhaseBreakdown
-FlinkCluster::averageBreakdown() const
-{
-    PhaseBreakdown total;
-    for (const auto &b : breakdowns_)
-        total += b;
-    int n = config_.numWorkers;
-    return PhaseBreakdown{total.computeNs / n, total.serNs / n,
-                          total.writeIoNs / n, total.deserNs / n,
-                          total.readIoNs / n, total.bytesLocal,
-                          total.bytesRemote};
-}
-
-PhaseBreakdown
-FlinkCluster::totalBreakdown() const
-{
-    PhaseBreakdown total;
-    for (const auto &b : breakdowns_)
-        total += b;
-    return total;
-}
-
-void
-FlinkCluster::resetBreakdowns()
-{
-    for (auto &b : breakdowns_)
-        b = PhaseBreakdown{};
+    skywayFactory.bind(*this);
 }
 
 FlinkRowSerializer::FlinkRowSerializer(
-    KlassTable &klasses, const std::string &row_class,
+    SdEnv env, const std::string &row_class,
     const std::vector<std::string> &needed)
-    : klass_(klasses.load(row_class))
+    : env_(env), klass_(env.klasses.load(row_class))
 {
     const auto &fields = klass_->fields();
     neededMask_.assign(fields.size(), needed.empty());
@@ -83,9 +40,9 @@ FlinkRowSerializer::FlinkRowSerializer(
 }
 
 void
-FlinkRowSerializer::write(Jvm &jvm, Address row, ByteSink &out) const
+FlinkRowSerializer::writeObject(Address row, ByteSink &out)
 {
-    ManagedHeap &h = jvm.heap();
+    ManagedHeap &h = env_.heap;
     panicIf(h.klassOf(row)->name() != klass_->name(),
             "FlinkRowSerializer: wrong row class on channel");
     // Flink's RecordWriter first serializes the record into an
@@ -120,7 +77,7 @@ FlinkRowSerializer::write(Jvm &jvm, Address row, ByteSink &out) const
             if (s == nullAddr) {
                 body.writeVarU64(0);
             } else {
-                ObjectBuilder builder(h, jvm.klasses());
+                ObjectBuilder builder(h, env_.klasses);
                 std::string v = builder.stringValue(s);
                 body.writeVarU64(v.size() + 1);
                 body.write(v.data(), v.size());
@@ -134,9 +91,9 @@ FlinkRowSerializer::write(Jvm &jvm, Address row, ByteSink &out) const
 }
 
 Address
-FlinkRowSerializer::read(Jvm &jvm, ByteSource &in) const
+FlinkRowSerializer::readObject(ByteSource &in)
 {
-    ManagedHeap &h = jvm.heap();
+    ManagedHeap &h = env_.heap;
     // Root the row only when a needed reference field will allocate
     // mid-read; pure-primitive reads cannot trigger a collection.
     std::optional<LocalRoots> roots;
@@ -193,7 +150,7 @@ FlinkRowSerializer::read(Jvm &jvm, ByteSource &in) const
             if (need) {
                 // Materialize the string object.
                 const std::uint8_t *p = in.view(len);
-                ObjectBuilder builder(h, jvm.klasses());
+                ObjectBuilder builder(h, env_.klasses);
                 Address s = builder.makeString(std::string_view(
                     reinterpret_cast<const char *>(p), len));
                 h.storeRef(row(), f.offset, s);
@@ -211,134 +168,33 @@ FlinkRowSerializer::read(Jvm &jvm, ByteSource &in) const
     return row();
 }
 
-FlinkShuffle::FlinkShuffle(FlinkCluster &cluster, std::string name,
-                           std::string row_class,
-                           std::vector<std::string> needed)
-    : cluster_(cluster),
-      name_(std::move(name)),
-      rowClass_(std::move(row_class))
+namespace
 {
-    int n = cluster.numWorkers();
-    buckets_.resize(n);
-    counts_.assign(n, std::vector<std::uint64_t>(n, 0));
-    for (int w = 0; w < n; ++w) {
-        srcRoots_.push_back(
-            std::make_unique<LocalRoots>(cluster.worker(w).heap()));
-        buckets_[w].resize(n);
-        rowSer_.push_back(std::make_unique<FlinkRowSerializer>(
-            cluster.worker(w).klasses(), rowClass_, needed));
-        if (cluster.mode() == FlinkSerMode::Skyway) {
-            cluster.skywaySerializer(w).startPhase();
-            cluster.skywaySerializer(w).releaseReceived();
-        }
-    }
-}
 
-std::string
-FlinkShuffle::fileName(int src, int dst) const
+/** The channel's row serializer on every worker under Builtin; none
+ *  under Skyway, where the shuffle uses the cluster's serializers. */
+std::vector<std::unique_ptr<Serializer>>
+channelSerializers(FlinkCluster &cluster, const std::string &row_class,
+                   const std::vector<std::string> &needed)
 {
-    return name_ + ".s" + std::to_string(src) + ".d" +
-           std::to_string(dst) + ".flink";
-}
-
-void
-FlinkShuffle::add(int src, int dst, Address row)
-{
-    panicIf(written_, "FlinkShuffle: add after writePhase");
-    std::size_t slot = srcRoots_[src]->push(row);
-    buckets_[src][dst].push_back(slot);
-    ++counts_[src][dst];
-    ++recordsAdded_;
-}
-
-void
-FlinkShuffle::writePhase()
-{
-    panicIf(written_, "FlinkShuffle: writePhase twice");
-    written_ = true;
-    int n = cluster_.numWorkers();
-    bool use_skyway = cluster_.mode() == FlinkSerMode::Skyway;
-    for (int src = 0; src < n; ++src) {
-        Jvm &jvm = cluster_.worker(src);
-        PhaseBreakdown &b = cluster_.breakdown(src);
-        for (int dst = 0; dst < n; ++dst) {
-            if (buckets_[src][dst].empty())
-                continue;
-            VectorSink sink;
-            {
-                ScopedTimer timer(b.serNs);
-                if (use_skyway) {
-                    SkywaySerializer &ser =
-                        cluster_.skywaySerializer(src);
-                    for (std::size_t slot : buckets_[src][dst])
-                        ser.writeObject(srcRoots_[src]->get(slot),
-                                        sink);
-                    ser.endStream(sink);
-                } else {
-                    for (std::size_t slot : buckets_[src][dst])
-                        rowSer_[src]->write(
-                            jvm, srcRoots_[src]->get(slot), sink);
-                }
-            }
-            bytesWritten_ += sink.bytesWritten();
-            b.writeIoNs += jvm.disk().writeFile(fileName(src, dst),
-                                                sink.takeBytes());
-        }
-        srcRoots_[src]->clear();
-    }
-}
-
-std::unique_ptr<RecordBatch>
-FlinkShuffle::read(int dst)
-{
-    panicIf(!written_, "FlinkShuffle: read before writePhase");
-    int n = cluster_.numWorkers();
-    Jvm &jvm = cluster_.worker(dst);
-    PhaseBreakdown &b = cluster_.breakdown(dst);
-    bool use_skyway = cluster_.mode() == FlinkSerMode::Skyway;
-    // Skyway delivers into pinned buffers: no per-record roots.
-    auto out = use_skyway
-                   ? std::make_unique<RecordBatch>()
-                   : std::make_unique<RecordBatch>(jvm.heap());
-
-    for (int src = 0; src < n; ++src) {
-        if (counts_[src][dst] == 0)
-            continue;
-        SimDisk &src_disk = cluster_.worker(src).disk();
-        const auto &file = src_disk.file(fileName(src, dst));
-        b.readIoNs += src_disk.chargeRead(file.size());
-        std::vector<std::uint8_t> fetched;
-        const std::vector<std::uint8_t> *bytes = &file;
-        if (src != dst) {
-            b.readIoNs +=
-                cluster_.net().model().transferNs(file.size());
-            b.bytesRemote += file.size();
-            // The partition crosses the fabric for real (an actual
-            // socket on the tcp transport).
-            cluster_.net().send(src + 1, dst + 1, flinkmsg::shuffle,
-                                file);
-            NetMessage msg;
-            while (!cluster_.net().pollTag(dst + 1, flinkmsg::shuffle,
-                                           msg)) {
-            }
-            fetched = std::move(msg.payload);
-            bytes = &fetched;
-        } else {
-            b.bytesLocal += file.size();
-        }
-
-        ByteSource in(*bytes);
-        ScopedTimer timer(b.deserNs);
-        if (use_skyway) {
-            SkywaySerializer &des = cluster_.skywaySerializer(dst);
-            for (std::uint64_t i = 0; i < counts_[src][dst]; ++i)
-                out->push(des.readObject(in));
-        } else {
-            for (std::uint64_t i = 0; i < counts_[src][dst]; ++i)
-                out->push(rowSer_[dst]->read(jvm, in));
-        }
+    std::vector<std::unique_ptr<Serializer>> out;
+    if (cluster.mode() == FlinkSerMode::Skyway)
+        return out;
+    for (int w = 0; w < cluster.numWorkers(); ++w) {
+        Jvm &jvm = cluster.worker(w);
+        out.push_back(std::make_unique<FlinkRowSerializer>(
+            SdEnv{jvm.heap(), jvm.klasses()}, row_class, needed));
     }
     return out;
 }
+
+} // namespace
+
+FlinkShuffle::FlinkShuffle(FlinkCluster &cluster, std::string name,
+                           const std::string &row_class,
+                           const std::vector<std::string> &needed)
+    : ShuffleRound(cluster, std::move(name),
+                   channelSerializers(cluster, row_class, needed))
+{}
 
 } // namespace skyway

@@ -10,6 +10,10 @@
  * skipped — which is why Flink's deserialization time is far smaller
  * than its serialization time (8.7% vs 23.5% in the paper), the
  * asymmetry Table 4 shows Skyway removing.
+ *
+ * The cluster, its disk and fabric model and the shuffle exchange are
+ * minispark's: miniflink adds the row serializers and the choice of
+ * engine.
  */
 
 #ifndef SKYWAY_MINIFLINK_MINIFLINK_HH
@@ -19,11 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "iomodel/breakdown.hh"
-#include "support/bytebuffer.hh"
-#include "skyway/jvm.hh"
-#include "skyway/streams.hh"
-#include "support/stopwatch.hh"
+#include "minispark/minispark.hh"
 
 namespace skyway
 {
@@ -35,62 +35,34 @@ enum class FlinkSerMode
     Skyway,
 };
 
-struct FlinkConfig
+using FlinkConfig = SparkConfig;
+
+namespace detail
 {
-    int numWorkers = 3;
-    HeapConfig workerHeap{};
-    NetworkCostModel network = gigabitEthernet();
-    DiskCostModel disk{};
-    /** Which transport carries remote shuffle partitions. */
-    TransportKind transport = TransportKind::Model;
+/** Built before FlinkCluster's SparkCluster base, which keeps a
+ *  reference to the factory. */
+struct FlinkSkywayFactory
+{
+    ClusterSkywayFactory skywayFactory;
 };
+} // namespace detail
 
-/** Fabric tag for miniflink shuffle traffic. */
-namespace flinkmsg
-{
-constexpr int shuffle = 211;
-} // namespace flinkmsg
-
-class FlinkCluster
+/**
+ * A minispark cluster running Flink jobs. Its serializers are the
+ * workers' Skyway serializers, which FlinkShuffles use under
+ * FlinkSerMode::Skyway.
+ */
+class FlinkCluster : private detail::FlinkSkywayFactory,
+                     public SparkCluster
 {
   public:
     FlinkCluster(const ClassCatalog &catalog, FlinkSerMode mode,
                  FlinkConfig config = FlinkConfig{});
 
-    int numWorkers() const { return config_.numWorkers; }
     FlinkSerMode mode() const { return mode_; }
-    Jvm &driver() { return *nodes_[0]; }
-    Jvm &worker(int w) { return *nodes_[w + 1]; }
-    ClusterNetwork &net() { return *net_; }
-    SkywaySerializer &skywaySerializer(int w)
-    {
-        return *skywaySer_[w];
-    }
-
-    PhaseBreakdown &breakdown(int w) { return breakdowns_[w]; }
-    PhaseBreakdown averageBreakdown() const;
-    PhaseBreakdown totalBreakdown() const;
-    void resetBreakdowns();
-
-    void
-    chargeCompute(int w, std::uint64_t ns)
-    {
-        breakdowns_[w].computeNs += ns;
-    }
-
-    int
-    ownerOf(std::uint64_t key) const
-    {
-        return static_cast<int>(key % config_.numWorkers);
-    }
 
   private:
-    FlinkConfig config_;
     FlinkSerMode mode_;
-    std::unique_ptr<ClusterNetwork> net_;
-    std::vector<std::unique_ptr<Jvm>> nodes_;
-    std::vector<std::unique_ptr<SkywaySerializer>> skywaySer_;
-    std::vector<PhaseBreakdown> breakdowns_;
 };
 
 /**
@@ -99,23 +71,24 @@ class FlinkCluster
  * lazy reader materializes only @c needed fields and skips the rest
  * in the byte stream.
  */
-class FlinkRowSerializer
+class FlinkRowSerializer : public Serializer
 {
   public:
     /**
-     * @param klasses  node klass table
+     * @param env       the node's heap and klass table
      * @param row_class the channel's row class
-     * @param needed   names of fields the downstream transformation
-     *                 reads; empty means "all fields"
+     * @param needed    names of fields the downstream transformation
+     *                  reads; empty means "all fields"
      */
-    FlinkRowSerializer(KlassTable &klasses,
-                       const std::string &row_class,
+    FlinkRowSerializer(SdEnv env, const std::string &row_class,
                        const std::vector<std::string> &needed);
 
-    void write(Jvm &jvm, Address row, ByteSink &out) const;
-    Address read(Jvm &jvm, ByteSource &in) const;
+    std::string name() const override { return "flink-row"; }
+    void writeObject(Address row, ByteSink &out) override;
+    Address readObject(ByteSource &in) override;
 
   private:
+    SdEnv env_;
     Klass *klass_;
     std::vector<bool> neededMask_;
     /** True when some needed field is a reference: reading it
@@ -124,16 +97,18 @@ class FlinkRowSerializer
     bool materializesRefs_ = false;
     /** Reusable intermediate serialization buffer (Flink's
      *  DataOutputSerializer equivalent). */
-    mutable VectorSink tmp_;
+    VectorSink tmp_;
     /** Index of the last needed field: the lazy reader stops parsing
      *  there and jumps to the record end via the length frame. */
     std::size_t lastNeeded_ = 0;
 };
 
 /**
- * One all-to-all exchange of rows of a single class.
+ * One all-to-all exchange of rows of a single class: a ShuffleRound
+ * whose workers use the channel's row serializers (Builtin) or the
+ * cluster's Skyway serializers (Skyway).
  */
-class FlinkShuffle
+class FlinkShuffle : public ShuffleRound
 {
   public:
     /**
@@ -141,29 +116,8 @@ class FlinkShuffle
      *               ignored under Skyway, which moves whole objects
      */
     FlinkShuffle(FlinkCluster &cluster, std::string name,
-                 std::string row_class,
-                 std::vector<std::string> needed);
-
-    void add(int src, int dst, Address row);
-    void writePhase();
-    std::unique_ptr<RecordBatch> read(int dst);
-
-    std::uint64_t recordsAdded() const { return recordsAdded_; }
-    std::uint64_t bytesWritten() const { return bytesWritten_; }
-
-  private:
-    std::string fileName(int src, int dst) const;
-
-    FlinkCluster &cluster_;
-    std::string name_;
-    std::string rowClass_;
-    std::vector<std::unique_ptr<FlinkRowSerializer>> rowSer_;
-    std::vector<std::unique_ptr<LocalRoots>> srcRoots_;
-    std::vector<std::vector<std::vector<std::size_t>>> buckets_;
-    std::vector<std::vector<std::uint64_t>> counts_;
-    bool written_ = false;
-    std::uint64_t recordsAdded_ = 0;
-    std::uint64_t bytesWritten_ = 0;
+                 const std::string &row_class,
+                 const std::vector<std::string> &needed);
 };
 
 } // namespace skyway

@@ -150,19 +150,6 @@ makeKeyedDouble(Jvm &jvm, std::int64_t key, double value)
 
 /// @}
 
-FlinkQueryResult
-finish(FlinkCluster &cluster, std::uint64_t records,
-       std::uint64_t bytes, double checksum)
-{
-    FlinkQueryResult res;
-    res.average = cluster.averageBreakdown();
-    res.total = cluster.totalBreakdown();
-    res.shuffledRecords = records;
-    res.shuffledBytes = bytes;
-    res.checksum = checksum;
-    return res;
-}
-
 } // namespace
 
 FlinkQueryResult
@@ -227,8 +214,8 @@ runQueryA(FlinkCluster &cluster, const TpchData &db)
             checksum += g[0] * 1e-6 + g[1] * 1e-6 + g[2] + g[3];
         cluster.chargeCompute(w, sw.elapsedNs());
     }
-    return finish(cluster, shuffle.recordsAdded(),
-                  shuffle.bytesWritten(), checksum);
+    return cluster.jobResult(shuffle.recordsAdded(),
+                             shuffle.bytesWritten(), checksum);
 }
 
 FlinkQueryResult
@@ -345,12 +332,11 @@ runQueryB(FlinkCluster &cluster, const TpchData &db)
         cluster.chargeCompute(w, sw.elapsedNs());
     }
     (void)suppRegion;
-    return finish(cluster,
-                  s1supp.recordsAdded() + s1ps.recordsAdded() +
-                      s2.recordsAdded(),
-                  s1supp.bytesWritten() + s1ps.bytesWritten() +
-                      s2.bytesWritten(),
-                  checksum);
+    return cluster.jobResult(s1supp.recordsAdded() + s1ps.recordsAdded() +
+                                 s2.recordsAdded(),
+                             s1supp.bytesWritten() + s1ps.bytesWritten() +
+                                 s2.bytesWritten(),
+                             checksum);
 }
 
 FlinkQueryResult
@@ -482,12 +468,11 @@ runQueryC(FlinkCluster &cluster, const TpchData &db)
     for (std::size_t i = 0; i < revenues.size() && i < 10; ++i)
         checksum += revenues[i];
 
-    return finish(cluster,
-                  s1cust.recordsAdded() + s1ord.recordsAdded() +
-                      s2.recordsAdded() + s3.recordsAdded(),
-                  s1cust.bytesWritten() + s1ord.bytesWritten() +
-                      s2.bytesWritten() + s3.bytesWritten(),
-                  checksum);
+    return cluster.jobResult(s1cust.recordsAdded() + s1ord.recordsAdded() +
+                                 s2.recordsAdded() + s3.recordsAdded(),
+                             s1cust.bytesWritten() + s1ord.bytesWritten() +
+                                 s2.bytesWritten() + s3.bytesWritten(),
+                             checksum);
 }
 
 FlinkQueryResult
@@ -563,9 +548,9 @@ runQueryD(FlinkCluster &cluster, const TpchData &db)
     for (int q = 0; q < 4; ++q)
         checksum += static_cast<double>(quarters[q]) * (q + 1);
 
-    return finish(cluster, s1li.recordsAdded() + s1ord.recordsAdded(),
-                  s1li.bytesWritten() + s1ord.bytesWritten(),
-                  checksum);
+    return cluster.jobResult(s1li.recordsAdded() + s1ord.recordsAdded(),
+                             s1li.bytesWritten() + s1ord.bytesWritten(),
+                             checksum);
 }
 
 FlinkQueryResult
@@ -702,12 +687,11 @@ runQueryE(FlinkCluster &cluster, const TpchData &db)
     for (std::size_t i = 0; i < ranked.size() && i < 20; ++i)
         checksum += ranked[i].first + ranked[i].second.size();
 
-    return finish(cluster,
-                  s1li.recordsAdded() + s1ord.recordsAdded() +
-                      s2.recordsAdded() + s3.recordsAdded(),
-                  s1li.bytesWritten() + s1ord.bytesWritten() +
-                      s2.bytesWritten() + s3.bytesWritten(),
-                  checksum);
+    return cluster.jobResult(s1li.recordsAdded() + s1ord.recordsAdded() +
+                                 s2.recordsAdded() + s3.recordsAdded(),
+                             s1li.bytesWritten() + s1ord.bytesWritten() +
+                                 s2.bytesWritten() + s3.bytesWritten(),
+                             checksum);
 }
 
 FlinkQueryResult

@@ -23,14 +23,7 @@
 namespace skyway
 {
 
-struct FlinkQueryResult
-{
-    PhaseBreakdown average;
-    PhaseBreakdown total;
-    std::uint64_t shuffledRecords = 0;
-    std::uint64_t shuffledBytes = 0;
-    double checksum = 0;
-};
+using FlinkQueryResult = JobResult;
 
 FlinkQueryResult runQueryA(FlinkCluster &cluster, const TpchData &db);
 FlinkQueryResult runQueryB(FlinkCluster &cluster, const TpchData &db);

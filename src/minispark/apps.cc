@@ -169,20 +169,6 @@ makeRecord2(Jvm &jvm, Klass *k, const FieldDesc &f1, T1 v1,
     return obj;
 }
 
-SparkAppResult
-finishResult(SparkCluster &cluster, std::uint64_t records,
-             std::uint64_t bytes, int iterations, double checksum)
-{
-    SparkAppResult res;
-    res.average = cluster.averageBreakdown();
-    res.total = cluster.totalBreakdown();
-    res.shuffledRecords = records;
-    res.shuffledBytes = bytes;
-    res.iterations = iterations;
-    res.checksum = checksum;
-    return res;
-}
-
 } // namespace
 
 SparkAppResult
@@ -247,9 +233,10 @@ runWordCount(SparkCluster &cluster, const std::vector<std::string> &lines)
         cluster.chargeCompute(w, sw.elapsedNs());
     }
 
-    return finishResult(cluster, shuffle.recordsAdded(),
-                        shuffle.bytesWritten(), 1,
-                        checksum + static_cast<double>(distinct));
+    return {cluster.jobResult(shuffle.recordsAdded(),
+                              shuffle.bytesWritten(),
+                              checksum + static_cast<double>(distinct)),
+            1};
 }
 
 SparkAppResult
@@ -320,7 +307,7 @@ runPageRank(SparkCluster &cluster, const EdgeList &graph, int iterations)
     double checksum = 0;
     for (double r : rank)
         checksum += r;
-    return finishResult(cluster, records, bytes, iterations, checksum);
+    return {cluster.jobResult(records, bytes, checksum), iterations};
 }
 
 SparkAppResult
@@ -407,7 +394,7 @@ runConnectedComponents(SparkCluster &cluster, const EdgeList &graph,
     double checksum = static_cast<double>(reps.size());
     for (std::uint32_t l : label)
         checksum += static_cast<double>(l) * 1e-6;
-    return finishResult(cluster, records, bytes, iter, checksum);
+    return {cluster.jobResult(records, bytes, checksum), iter};
 }
 
 SparkAppResult
@@ -537,10 +524,11 @@ runTriangleCount(SparkCluster &cluster, const EdgeList &graph)
         cluster.chargeCompute(w, sw.elapsedNs());
     }
 
-    return finishResult(cluster,
-                        round1.recordsAdded() + round2.recordsAdded(),
-                        round1.bytesWritten() + round2.bytesWritten(),
-                        2, static_cast<double>(triangles));
+    return {cluster.jobResult(
+                round1.recordsAdded() + round2.recordsAdded(),
+                round1.bytesWritten() + round2.bytesWritten(),
+                static_cast<double>(triangles)),
+            2};
 }
 
 } // namespace skyway

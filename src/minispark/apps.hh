@@ -29,15 +29,9 @@ void defineSparkAppClasses(ClassCatalog &catalog);
  */
 void registerSparkAppKryo(KryoRegistry &registry);
 
-struct SparkAppResult
+struct SparkAppResult : JobResult
 {
-    PhaseBreakdown average;     // per-worker mean (the figures' unit)
-    PhaseBreakdown total;       // summed over workers
-    std::uint64_t shuffledRecords = 0;
-    std::uint64_t shuffledBytes = 0;
     int iterations = 0;
-    /** App-defined checksum; identical across serializers. */
-    double checksum = 0;
 };
 
 /** WordCount over a generated corpus. */

@@ -99,8 +99,25 @@ SparkCluster::resetBreakdowns()
         b = PhaseBreakdown{};
 }
 
+JobResult
+SparkCluster::jobResult(std::uint64_t shuffled_records,
+                        std::uint64_t shuffled_bytes,
+                        double checksum) const
+{
+    return JobResult{averageBreakdown(), totalBreakdown(),
+                     shuffled_records, shuffled_bytes, checksum};
+}
+
 ShuffleRound::ShuffleRound(SparkCluster &cluster, std::string name)
-    : cluster_(cluster), name_(std::move(name))
+    : ShuffleRound(cluster, std::move(name), {})
+{}
+
+ShuffleRound::ShuffleRound(
+    SparkCluster &cluster, std::string name,
+    std::vector<std::unique_ptr<Serializer>> serializers)
+    : cluster_(cluster),
+      name_(std::move(name)),
+      ownSerializers_(std::move(serializers))
 {
     int n = cluster.numWorkers();
     buckets_.resize(n);
@@ -115,9 +132,16 @@ ShuffleRound::ShuffleRound(SparkCluster &cluster, std::string name)
     // previous phase — by construction apps consume a round's records
     // before opening the next round.
     for (int w = 0; w < n; ++w) {
-        cluster.serializer(w).startPhase();
-        cluster.serializer(w).releaseReceived();
+        serializer(w).startPhase();
+        serializer(w).releaseReceived();
     }
+}
+
+Serializer &
+ShuffleRound::serializer(int w)
+{
+    return ownSerializers_.empty() ? cluster_.serializer(w)
+                                   : *ownSerializers_[w];
 }
 
 std::string
@@ -144,7 +168,7 @@ ShuffleRound::writePhase()
     written_ = true;
     int n = cluster_.numWorkers();
     for (int src = 0; src < n; ++src) {
-        Serializer &ser = cluster_.serializer(src);
+        Serializer &ser = serializer(src);
         SimDisk &disk = cluster_.worker(src).disk();
         PhaseBreakdown &b = cluster_.breakdown(src);
         for (int dst = 0; dst < n; ++dst) {
@@ -176,7 +200,7 @@ ShuffleRound::read(int dst)
 {
     panicIf(!written_, "ShuffleRound: read before writePhase");
     int n = cluster_.numWorkers();
-    Serializer &des = cluster_.serializer(dst);
+    Serializer &des = serializer(dst);
     PhaseBreakdown &b = cluster_.breakdown(dst);
     auto out = des.receivedObjectsArePinned()
                    ? std::make_unique<RecordBatch>()

@@ -13,7 +13,8 @@
  *
  * Workers execute sequentially in-process; per-worker simulated
  * clocks keep the accounting equivalent to the paper's
- * one-executor-per-node setup.
+ * one-executor-per-node setup. miniflink runs on the same cluster and
+ * shuffle exchange.
  */
 
 #ifndef SKYWAY_MINISPARK_MINISPARK_HH
@@ -40,6 +41,17 @@ struct SparkConfig
     /** Which transport carries fabric traffic (remote shuffle
      *  partitions, closure broadcasts, collected results). */
     TransportKind transport = TransportKind::Model;
+};
+
+/** What a job run on a cluster reports. */
+struct JobResult
+{
+    PhaseBreakdown average; // per-worker mean (the figures' unit)
+    PhaseBreakdown total;   // summed over workers
+    std::uint64_t shuffledRecords = 0;
+    std::uint64_t shuffledBytes = 0;
+    /** App-defined checksum; identical across serializers. */
+    double checksum = 0;
 };
 
 /** Fabric tags for minispark traffic (registry tags are 101-103). */
@@ -93,6 +105,12 @@ class SparkCluster
     }
 
     void resetBreakdowns();
+
+    /** A job's result: the breakdowns since resetBreakdowns() plus
+     *  the job's shuffle volume and checksum. */
+    JobResult jobResult(std::uint64_t shuffled_records,
+                        std::uint64_t shuffled_bytes,
+                        double checksum) const;
 
     /** Which worker owns hash/key @p key. */
     int
@@ -156,11 +174,23 @@ class ShuffleRound
     std::uint64_t recordsAdded() const { return recordsAdded_; }
     std::uint64_t bytesWritten() const { return bytesWritten_; }
 
+  protected:
+    /** A shuffle whose worker w writes and reads through
+     *  @p serializers[w] instead of the cluster's serializer; an
+     *  empty vector means the cluster's. */
+    ShuffleRound(SparkCluster &cluster, std::string name,
+                 std::vector<std::unique_ptr<Serializer>> serializers);
+
   private:
     std::string fileName(int src, int dst) const;
+    /** Worker @p w's serializer for this shuffle. */
+    Serializer &serializer(int w);
 
     SparkCluster &cluster_;
     std::string name_;
+    /** This shuffle's own per-worker serializers; empty when it uses
+     *  the cluster's. */
+    std::vector<std::unique_ptr<Serializer>> ownSerializers_;
     /** Outgoing records, bucketed by [src][dst], rooted per source. */
     std::vector<std::unique_ptr<LocalRoots>> srcRoots_;
     std::vector<std::vector<std::vector<std::size_t>>> buckets_;

@@ -155,7 +155,7 @@ class ByteSource
     void
     read(void *out, std::size_t len)
     {
-        panicIf(pos_ + len > len_, "ByteSource: read past end");
+        panicIf(len > len_ - pos_, "ByteSource: read past end");
         std::memcpy(out, data_ + pos_, len);
         pos_ += len;
     }
@@ -164,7 +164,7 @@ class ByteSource
     const std::uint8_t *
     view(std::size_t len)
     {
-        panicIf(pos_ + len > len_, "ByteSource: view past end");
+        panicIf(len > len_ - pos_, "ByteSource: view past end");
         const std::uint8_t *p = data_ + pos_;
         pos_ += len;
         return p;

@@ -50,12 +50,14 @@ TEST(FlinkRowSerializer, FullRoundTrip)
                              12345);
     field::set<double>(a.heap(), row, k->requireField("value"), 2.5);
 
-    FlinkRowSerializer ser(a.klasses(), "tpch.KeyedDouble", {});
+    FlinkRowSerializer ser({a.heap(), a.klasses()}, "tpch.KeyedDouble",
+                           {});
     VectorSink sink;
-    ser.write(a, row, sink);
-    FlinkRowSerializer des(b.klasses(), "tpch.KeyedDouble", {});
+    ser.writeObject(row, sink);
+    FlinkRowSerializer des({b.heap(), b.klasses()}, "tpch.KeyedDouble",
+                           {});
     ByteSource src(sink.bytes());
-    Address out = des.read(b, src);
+    Address out = des.readObject(src);
     EXPECT_EQ((field::get<std::int64_t>(
                   b.heap(), out,
                   b.klasses().load("tpch.KeyedDouble")
@@ -87,13 +89,14 @@ TEST(FlinkRowSerializer, LazySkipsUnneededFields)
     field::setRef(a.heap(), row, k->requireField("mktsegment"),
                   r.get(rm));
 
-    FlinkRowSerializer ser(a.klasses(), "tpch.Customer", {});
+    FlinkRowSerializer ser({a.heap(), a.klasses()}, "tpch.Customer", {});
     VectorSink sink;
-    ser.write(a, row, sink);
+    ser.writeObject(row, sink);
 
-    FlinkRowSerializer lazy(b.klasses(), "tpch.Customer", {"key"});
+    FlinkRowSerializer lazy({b.heap(), b.klasses()}, "tpch.Customer",
+                            {"key"});
     ByteSource src(sink.bytes());
-    Address out = lazy.read(b, src);
+    Address out = lazy.readObject(src);
     EXPECT_TRUE(src.atEnd()) << "skipping must consume exact bytes";
     Klass *kb = b.klasses().load("tpch.Customer");
     EXPECT_EQ((field::get<std::int32_t>(b.heap(), out,
@@ -113,7 +116,8 @@ TEST(FlinkRowSerializer, UnknownNeededFieldPanics)
     ClusterNetwork net(1);
     Jvm a(cat, net, 0, 0);
     EXPECT_DEATH(
-        FlinkRowSerializer(a.klasses(), "tpch.Customer", {"nope"}),
+        FlinkRowSerializer({a.heap(), a.klasses()}, "tpch.Customer",
+                           {"nope"}),
         "no field");
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <unordered_set>
 
@@ -69,6 +70,101 @@ runWith(const std::string &which, App &&app)
 
 const std::vector<std::string> allSerializers = {"java", "kryo",
                                                  "skyway"};
+
+/** Per node heap: the records of each send stream and each ingest. */
+struct StreamLog
+{
+    std::map<const ManagedHeap *, std::vector<std::uint64_t>> sent;
+    std::map<const ManagedHeap *, std::vector<std::uint64_t>> ingested;
+};
+
+/**
+ * Counts records per stream around another serializer. A send stream
+ * runs from its first writeObject to its endStream; an ingest starts
+ * at a readObject that finds its source at position 0.
+ */
+class RecordingSerializer : public Serializer
+{
+  public:
+    RecordingSerializer(std::unique_ptr<Serializer> inner,
+                        StreamLog &log, const ManagedHeap &heap)
+        : inner_(std::move(inner)),
+          sent_(log.sent[&heap]),
+          ingested_(log.ingested[&heap])
+    {}
+
+    std::string name() const override { return inner_->name(); }
+
+    void
+    writeObject(Address root, ByteSink &out) override
+    {
+        if (!streamOpen_)
+            sent_.push_back(0);
+        streamOpen_ = true;
+        ++sent_.back();
+        inner_->writeObject(root, out);
+    }
+
+    void
+    endStream(ByteSink &out) override
+    {
+        inner_->endStream(out);
+        streamOpen_ = false;
+    }
+
+    Address
+    readObject(ByteSource &in) override
+    {
+        bool ingest = in.position() == 0;
+        if (ingest)
+            ingested_.push_back(0);
+        Address obj = inner_->readObject(in);
+        EXPECT_FALSE(ingest && in.position() == 0)
+            << "an ingest left its source unread";
+        if (ingested_.empty())
+            ADD_FAILURE() << "first read not at position 0";
+        else
+            ++ingested_.back();
+        return obj;
+    }
+
+    void reset() override { inner_->reset(); }
+    void startPhase() override { inner_->startPhase(); }
+    void releaseReceived() override { inner_->releaseReceived(); }
+
+    bool
+    receivedObjectsArePinned() const override
+    {
+        return inner_->receivedObjectsArePinned();
+    }
+
+  private:
+    std::unique_ptr<Serializer> inner_;
+    std::vector<std::uint64_t> &sent_;
+    std::vector<std::uint64_t> &ingested_;
+    bool streamOpen_ = false;
+};
+
+class RecordingFactory : public SerializerFactory
+{
+  public:
+    RecordingFactory(SerializerFactory &inner, StreamLog &log)
+        : inner_(inner), log_(log)
+    {}
+
+    std::string name() const override { return inner_.name(); }
+
+    std::unique_ptr<Serializer>
+    create(SdEnv env) override
+    {
+        return std::make_unique<RecordingSerializer>(inner_.create(env),
+                                                     log_, env.heap);
+    }
+
+  private:
+    SerializerFactory &inner_;
+    StreamLog &log_;
+};
 
 TEST(SparkWordCount, SameResultUnderAllSerializers)
 {
@@ -237,6 +333,50 @@ TEST(SparkAccounting, SkywayShipsMoreBytesButLessSerDeTime)
     EXPECT_GT(sky.shuffledBytes, kryo.shuffledBytes);
     EXPECT_LT(sky.total.serNs + sky.total.deserNs,
               kryo.total.serNs + kryo.total.deserNs);
+}
+
+TEST(SparkShuffle, SendStreamsPairWithIngestsInOrder)
+{
+    // perfbench's pagerank-compact pairs a partition's send and
+    // receive timings by order: sources write their partitions in
+    // destination order and destinations read them in source order,
+    // one stream and one fresh source each, so round r's partition
+    // s->d is worker s's (r*n+d)-th stream and worker d's (r*n+s)-th
+    // ingest.
+    ClassCatalog cat = sparkCatalog();
+    SparkConfig cfg;
+    cfg.numWorkers = 3;
+    StreamLog log;
+    ClusterSkywayFactory skyway;
+    RecordingFactory recording(skyway, log);
+    SparkCluster cluster(cat, recording, cfg);
+    skyway.bind(cluster);
+    const int n = cfg.numWorkers;
+    const int rounds = 3;
+    // Dense enough that no partition of any round is empty.
+    EdgeList g = generateGraph(GraphSpec{"t", 300, 1500, 2.0, 21, ""});
+    runPageRank(cluster, g, rounds);
+
+    using Counts = std::vector<std::uint64_t>;
+    auto sent = [&](int w) -> const Counts & {
+        return log.sent[&cluster.worker(w).heap()];
+    };
+    auto ingested = [&](int w) -> const Counts & {
+        return log.ingested[&cluster.worker(w).heap()];
+    };
+    const std::size_t per = static_cast<std::size_t>(rounds * n);
+    for (int w = 0; w < n; ++w) {
+        ASSERT_EQ(sent(w).size(), per) << "worker " << w;
+        ASSERT_EQ(ingested(w).size(), per) << "worker " << w;
+    }
+    for (int r = 0; r < rounds; ++r) {
+        for (int s = 0; s < n; ++s) {
+            for (int d = 0; d < n; ++d) {
+                EXPECT_EQ(sent(s)[r * n + d], ingested(d)[r * n + s])
+                    << "round " << r << ", " << s << "->" << d;
+            }
+        }
+    }
 }
 
 TEST(SparkAccounting, BreakdownComponentsAllPopulated)

@@ -114,6 +114,32 @@ TEST(ByteBuffer, ZigzagSmallMagnitudeIsShort)
     EXPECT_EQ(sink.bytesWritten(), 2u);
 }
 
+TEST(ByteBuffer, HugeLengthsPanicPastEnd)
+{
+    // A peer-sent length near 2^64 must not wrap the bounds check.
+    VectorSink sink;
+    sink.writeU32(0);
+    sink.writeVarU64(UINT64_MAX);
+    sink.writeU16(0);
+    const std::vector<std::uint8_t> bytes = sink.takeBytes();
+
+    ByteSource in(bytes);
+    in.readU32();
+    std::size_t huge = in.readVarU64();
+    ASSERT_EQ(huge, SIZE_MAX);
+    EXPECT_DEATH(in.view(huge), "past end");
+    EXPECT_DEATH(
+        {
+            std::uint8_t out = 0;
+            in.read(&out, huge);
+        },
+        "past end");
+
+    ByteSource str(bytes);
+    str.readU32();
+    EXPECT_DEATH(str.readString(), "past end");
+}
+
 TEST(Rng, Deterministic)
 {
     Rng a(42), b(42), c(43);
