@@ -214,18 +214,9 @@ GenerationalGc::fullGc()
     // kept live wholesale until explicitly freed: every object inside
     // is a root.
     for (const auto &pr : heap_.pinnedRanges()) {
-        if (!pr.walkable || pr.bytes == 0)
-            continue;
-        Address a = pr.addr;
-        Address end = pr.addr + pr.bytes;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
-            roots.push_back(a);
-            a += heap_.objectSize(a);
-        }
+        if (pr.walkable)
+            heap_.forEachObjectIn(pr.addr, pr.addr + pr.bytes,
+                                  [&](Address a) { roots.push_back(a); });
     }
     markFrom(roots);
 

@@ -180,8 +180,6 @@ class ManagedHeap
         return a >= youngBase_ && a < youngEnd_;
     }
 
-    bool inEden(Address a) const { return a >= edenBase_ && a < edenEnd_; }
-
     bool
     inOld(Address a) const
     {
@@ -219,13 +217,6 @@ class ManagedHeap
 
     void clearCard(std::size_t idx) { cards_[idx] = 0; }
 
-    /** Base address of the old-generation range card @p idx covers. */
-    Address
-    cardBase(std::size_t idx) const
-    {
-        return oldBase_ + idx * config_.cardBytes;
-    }
-
     /// @}
     /// @name GC interface (used by the gc module)
     /// @{
@@ -243,10 +234,6 @@ class ManagedHeap
 
     void setCollector(Collector *c) { collector_ = c; }
 
-    Address edenBase() const { return edenBase_; }
-    Address edenTop() const { return edenTop_; }
-    Address survivorFromBase() const { return survBase_[fromSpace_]; }
-    Address survivorFromTop() const { return survTop_; }
     Address oldBase() const { return oldBase_; }
     Address oldTop() const { return oldTop_; }
 
@@ -301,69 +288,50 @@ class ManagedHeap
     }
 
     /**
-     * Address-ordered cursor over the opaque pinned ranges, for one
-     * ascending walk of the old generation: at(a) names the opaque
-     * pin containing @p a, or nullptr. Queries must not go backwards;
-     * each costs amortized O(1), so a walk is O(objects + pins)
-     * rather than a scan of every pin at every step.
+     * Visit every object in [from, to) in address order, stepping over
+     * filler records: the one walk that knows their encoding. The
+     * range must hold whole objects and fillers only; a record whose
+     * size is zero or runs past @p to panics.
      */
-    class OpaquePinCursor
+    template <typename Visitor>
+    void
+    forEachObjectIn(Address from, Address to, Visitor &&visit) const
     {
-      public:
-        explicit OpaquePinCursor(const std::vector<PinnedRange> &pins)
-        {
-            for (const PinnedRange &pr : pins)
-                if (!pr.walkable && pr.bytes)
-                    pins_.push_back(pr);
-            std::sort(pins_.begin(), pins_.end(),
-                      [](const PinnedRange &x, const PinnedRange &y) {
-                          return x.addr < y.addr;
-                      });
+        for (Address a = from; a < to;) {
+            bool filler = isFiller(a);
+            std::size_t size = filler ? fillerSize(a) : objectSize(a);
+            if (size == 0 || size > to - a)
+                panic("ManagedHeap: a record overruns its walk range");
+            if (!filler)
+                visit(a);
+            a += size;
         }
-
-        const PinnedRange *
-        at(Address a)
-        {
-            while (next_ < pins_.size() &&
-                   pins_[next_].addr + pins_[next_].bytes <= a)
-                ++next_;
-            if (next_ < pins_.size() && a >= pins_[next_].addr)
-                return &pins_[next_];
-            return nullptr;
-        }
-
-      private:
-        /** Copies, so pinning during a walk cannot invalidate them. */
-        std::vector<PinnedRange> pins_;
-        std::size_t next_ = 0;
-    };
-
-    /** A fresh cursor over the current opaque pins. */
-    OpaquePinCursor opaquePins() const { return OpaquePinCursor(pinned_); }
+    }
 
     /**
      * Visit every object in the old generation in address order,
-     * skipping filler records and opaque pinned ranges. @p visit is
-     * called with the object address.
+     * skipping filler records and the opaque pinned ranges, whose
+     * contents are not objects yet.
      */
     template <typename Visitor>
     void
     forEachOldObject(Visitor &&visit) const
     {
-        OpaquePinCursor opaque = opaquePins();
+        // Copies, so pinning during a walk cannot invalidate them.
+        std::vector<PinnedRange> opaque;
+        for (const PinnedRange &pr : pinned_)
+            if (!pr.walkable && pr.bytes)
+                opaque.push_back(pr);
+        std::sort(opaque.begin(), opaque.end(),
+                  [](const PinnedRange &x, const PinnedRange &y) {
+                      return x.addr < y.addr;
+                  });
         Address a = oldBase_;
-        while (a < oldTop_) {
-            if (const PinnedRange *pr = opaque.at(a)) {
-                a = pr->addr + pr->bytes;
-                continue;
-            }
-            if (isFiller(a)) {
-                a += fillerSize(a);
-                continue;
-            }
-            visit(a);
-            a += objectSize(a);
+        for (const PinnedRange &pr : opaque) {
+            forEachObjectIn(a, pr.addr, visit);
+            a = pr.addr + pr.bytes;
         }
+        forEachObjectIn(a, oldTop_, visit);
     }
 
     /**

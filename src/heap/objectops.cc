@@ -1,5 +1,7 @@
 #include "heap/objectops.hh"
 
+#include <cstring>
+#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -199,97 +201,116 @@ ObjectBuilder::makeRefArray(const std::string &elemClass, std::size_t n)
 namespace
 {
 
-bool
-payloadEqual(const ManagedHeap &ha, Address a, const ManagedHeap &hb,
-             Address b)
+const void *
+raw(Address a, std::size_t off)
 {
-    const Klass *ka = ha.klassOf(a);
-    const Klass *kb = hb.klassOf(b);
-    if (ka->name() != kb->name())
-        return false;
-    if (ka->isArray()) {
-        if (ha.arrayLength(a) != hb.arrayLength(b))
-            return false;
-        if (ka->elemType() == FieldType::Ref)
-            return true; // elements compared by the graph walk
-        std::size_t n = static_cast<std::size_t>(ha.arrayLength(a));
-        std::size_t sz = ka->elemSize();
-        const void *pa = reinterpret_cast<const void *>(
-            a + ha.format().arrayHeaderBytes());
-        const void *pb = reinterpret_cast<const void *>(
-            b + hb.format().arrayHeaderBytes());
-        return std::memcmp(pa, pb, n * sz) == 0;
-    }
-    for (const FieldDesc &f : ka->fields()) {
-        if (f.type == FieldType::Ref)
-            continue;
-        std::size_t sz = fieldSize(f.type);
-        const FieldDesc *fb = kb->findField(f.name);
-        if (!fb || fb->type != f.type)
-            return false;
-        if (std::memcmp(reinterpret_cast<const void *>(a + f.offset),
-                        reinterpret_cast<const void *>(b + fb->offset),
-                        sz) != 0)
-            return false;
-    }
-    return true;
+    return reinterpret_cast<const void *>(a + off);
+}
+
+std::string
+hashText(Word m)
+{
+    return mark::hasHash(m) ? std::to_string(mark::hashOf(m)) : "none";
 }
 
 } // namespace
 
-bool
+GraphCheckResult
 graphsEqual(const ManagedHeap &ha, Address a, const ManagedHeap &hb,
             Address b, bool requireHash)
 {
-    // Parallel BFS with an isomorphism map: a's objects must map
-    // one-to-one onto b's, preserving sharing and cycles.
-    std::unordered_map<Address, Address> mapped;
-    std::vector<std::pair<Address, Address>> work;
-    work.emplace_back(a, b);
+    GraphCheckResult r;
+    auto fail = [&r](std::string why) {
+        r.equal = false;
+        r.divergence = std::move(why);
+        return r;
+    };
+    // Breadth-first over object pairs, each mapped both ways: aliasing
+    // on either side must be mirrored exactly on the other.
+    std::unordered_map<Address, Address> aToB, bToA;
+    std::deque<std::pair<Address, Address>> work;
+    // Pairs the referents of one slot; names the mismatch, if any.
+    auto link = [&](Address x, Address y) -> const char * {
+        if (x == nullAddr || y == nullAddr)
+            return x == y ? nullptr : "null vs non-null reference";
+        auto [ix, newX] = aToB.emplace(x, y);
+        auto [iy, newY] = bToA.emplace(y, x);
+        if (newX && newY)
+            work.emplace_back(x, y);
+        else if (ix->second != y || iy->second != x)
+            return "aliasing differs (the correspondence is not a "
+                   "bijection)";
+        return nullptr;
+    };
 
+    if (const char *why = link(a, b))
+        return fail(std::string(why) + " at <root>");
     while (!work.empty()) {
-        auto [x, y] = work.back();
-        work.pop_back();
-        if (x == nullAddr || y == nullAddr) {
-            if (x != y)
-                return false;
-            continue;
-        }
-        auto it = mapped.find(x);
-        if (it != mapped.end()) {
-            if (it->second != y)
-                return false;
-            continue;
-        }
-        mapped.emplace(x, y);
-        if (!payloadEqual(ha, x, hb, y))
-            return false;
+        auto [x, y] = work.front();
+        work.pop_front();
+        ++r.objectsCompared;
+
+        const Klass *ka = ha.klassOf(x);
+        const Klass *kb = hb.klassOf(y);
+        if (ka->name() != kb->name())
+            return fail("class mismatch: " + ka->name() + " vs " +
+                        kb->name());
         if (requireHash) {
             Word ma = ha.markOf(x);
             Word mb = hb.markOf(y);
-            if (mark::hasHash(ma) != mark::hasHash(mb))
-                return false;
-            if (mark::hasHash(ma) &&
-                mark::hashOf(ma) != mark::hashOf(mb))
-                return false;
+            if (mark::hasHash(ma) != mark::hasHash(mb) ||
+                (mark::hasHash(ma) && mark::hashOf(ma) != mark::hashOf(mb)))
+                return fail(ka->name() + ".<hash>: " + hashText(ma) +
+                            " vs " + hashText(mb));
         }
-        // Enqueue reference slots pairwise. Slot enumeration order is
-        // deterministic (layout order / element order) on both sides.
-        std::vector<Address> xs, ys;
-        forEachRefSlot(ha, x,
-                       [&](std::size_t off) {
-                           xs.push_back(ha.loadRef(x, off));
-                       });
-        forEachRefSlot(hb, y,
-                       [&](std::size_t off) {
-                           ys.push_back(hb.loadRef(y, off));
-                       });
-        if (xs.size() != ys.size())
-            return false;
-        for (std::size_t i = 0; i < xs.size(); ++i)
-            work.emplace_back(xs[i], ys[i]);
+
+        if (ka->isArray()) {
+            auto n = static_cast<std::size_t>(ha.arrayLength(x));
+            auto nb = static_cast<std::size_t>(hb.arrayLength(y));
+            if (n != nb)
+                return fail(ka->name() + ".<length>: " +
+                            std::to_string(n) + " vs " +
+                            std::to_string(nb));
+            if (ka->elemType() != FieldType::Ref) {
+                if (std::memcmp(raw(x, ha.format().arrayHeaderBytes()),
+                                raw(y, hb.format().arrayHeaderBytes()),
+                                n * ka->elemSize()) != 0)
+                    return fail(ka->name() +
+                                ".<elements>: primitive payload differs");
+                continue;
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                if (const char *why = link(array::getRef(ha, x, i),
+                                           array::getRef(hb, y, i)))
+                    return fail(why + (" at " + ka->name()) + "[" +
+                                std::to_string(i) + "]");
+            continue;
+        }
+
+        // Fields are in the same layout order on both sides (same
+        // catalog), at offsets that differ when the formats do.
+        const auto &fa = ka->fields();
+        const auto &fb = kb->fields();
+        if (fa.size() != fb.size())
+            return fail(ka->name() + ".<fields>: field count differs");
+        for (std::size_t i = 0; i < fa.size(); ++i) {
+            if (fa[i].name != fb[i].name || fa[i].type != fb[i].type)
+                return fail(ka->name() + "." + fa[i].name +
+                            ": field layout differs");
+            if (fa[i].type == FieldType::Ref) {
+                if (const char *why = link(ha.loadRef(x, fa[i].offset),
+                                           hb.loadRef(y, fb[i].offset)))
+                    return fail(why + (" at " + ka->name()) + "." +
+                                fa[i].name);
+            } else if (std::memcmp(raw(x, fa[i].offset),
+                                   raw(y, fb[i].offset),
+                                   fieldSize(fa[i].type)) != 0) {
+                return fail(ka->name() + "." + fa[i].name +
+                            ": primitive value differs");
+            }
+        }
     }
-    return true;
+    return r;
 }
 
 GraphMeasure

@@ -272,14 +272,32 @@ class RecordBatch
     std::vector<Address> pinned_;
 };
 
+/** The outcome of graphsEqual; converts to true when the graphs match. */
+struct GraphCheckResult
+{
+    bool equal = true;
+    /** First divergence, human-readable; empty when equal. */
+    std::string divergence;
+    /** Distinct object pairs compared. */
+    std::size_t objectsCompared = 0;
+
+    explicit operator bool() const { return equal; }
+};
+
 /**
- * Deep structural equality of two object graphs, possibly in different
- * heaps: same klass names, same primitive payloads, same shape
- * (including sharing/cycles), and same cached hashcodes when
- * @p requireHash. Central correctness oracle for serializer tests.
+ * Prove the graphs rooted at @p a (in @p ha) and @p b (in @p hb)
+ * isomorphic, the central correctness oracle of the serializer tests.
+ * The correspondence between their objects must be a bijection, so
+ * sharing and cycles match exactly and swapping the arguments never
+ * changes the verdict. Paired objects have the same class, array
+ * length and primitive values, and, when @p requireHash, the same
+ * cached identity hashcode (paper section 3.1). The heaps may use
+ * different object formats: fields are matched through each side's
+ * own klass, never by raw offset.
  */
-bool graphsEqual(const ManagedHeap &ha, Address a, const ManagedHeap &hb,
-                 Address b, bool requireHash = false);
+GraphCheckResult graphsEqual(const ManagedHeap &ha, Address a,
+                             const ManagedHeap &hb, Address b,
+                             bool requireHash = false);
 
 /** Count objects and bytes reachable from @p root. */
 struct GraphMeasure

@@ -224,11 +224,6 @@ runQueryB(FlinkCluster &cluster, const TpchData &db)
     cluster.resetBreakdowns();
     int n = cluster.numWorkers();
 
-    // Region per supplier is a broadcast-sized lookup table.
-    std::vector<std::int32_t> suppRegion(db.supplier.size() + 1, 0);
-    for (const auto &s : db.supplier)
-        suppRegion[s.key] = db.nation[s.nationKey].regionKey;
-
     // Stage 1: co-partition supplier and partsupp on suppKey.
     FlinkShuffle s1supp(cluster, "qb_supp", "tpch.Supplier",
                         {"key", "nationKey"});
@@ -331,7 +326,6 @@ runQueryB(FlinkCluster &cluster, const TpchData &db)
             checksum += cost;
         cluster.chargeCompute(w, sw.elapsedNs());
     }
-    (void)suppRegion;
     return cluster.jobResult(s1supp.recordsAdded() + s1ps.recordsAdded() +
                                  s2.recordsAdded(),
                              s1supp.bytesWritten() + s1ps.bytesWritten() +

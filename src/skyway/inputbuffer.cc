@@ -362,20 +362,13 @@ void
 InputBuffer::applyFieldUpdates()
 {
     for (const Chunk &c : chunks_) {
-        Address a = c.base;
-        Address end = c.base + c.fill;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
+        heap_.forEachObjectIn(c.base, c.base + c.fill, [&](Address a) {
             // An update may store a young reference without the
             // write barrier; finalize() dirties no other card.
             if (ctx_.updates().apply(heap_, heap_.klassOf(a), a))
                 heap_.dirtyCard(a);
             ++stats_.fieldUpdatesApplied;
-            a += heap_.objectSize(a);
-        }
+        });
     }
 }
 
@@ -427,31 +420,13 @@ InputBuffer::finalize()
 void
 InputBuffer::auditRebuilt() const
 {
+    // The range walk panics on an object that overruns its chunk.
     std::unordered_set<Address> starts;
+    for (const Chunk &c : chunks_)
+        heap_.forEachObjectIn(c.base, c.base + c.fill,
+                              [&](Address a) { starts.insert(a); });
     for (const Chunk &c : chunks_) {
-        Address a = c.base;
-        Address end = c.base + c.fill;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
-            starts.insert(a);
-            std::size_t size = heap_.objectSize(a);
-            if (size == 0 || a + size > end)
-                panic("SkywaySan: rebuilt object at " + std::to_string(a) +
-                      " overruns its chunk");
-            a += size;
-        }
-    }
-    for (const Chunk &c : chunks_) {
-        Address a = c.base;
-        Address end = c.base + c.fill;
-        while (a < end) {
-            if (ManagedHeap::isFiller(a)) {
-                a += ManagedHeap::fillerSize(a);
-                continue;
-            }
+        heap_.forEachObjectIn(c.base, c.base + c.fill, [&](Address a) {
             Word m = heap_.markOf(a);
             if ((m & ~(mark::hashMask | mark::hashComputedBit)) != 0)
                 panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
@@ -467,8 +442,7 @@ InputBuffer::auditRebuilt() const
                           " references outside the input buffer "
                           "and the heap");
             });
-            a += heap_.objectSize(a);
-        }
+        });
     }
     for (Address r : roots_)
         panicIf(r != nullAddr && !starts.count(r),

@@ -41,7 +41,6 @@ class Jvm
     Jvm &operator=(const Jvm &) = delete;
 
     NodeId id() const { return id_; }
-    bool isDriver() const { return driver_ != nullptr; }
 
     ManagedHeap &heap() { return heap_; }
     KlassTable &klasses() { return klasses_; }

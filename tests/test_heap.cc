@@ -245,6 +245,7 @@ TEST_F(HeapTest, GraphsEqualRespectsSharing)
                   heap_->root(ry));
 
     EXPECT_FALSE(graphsEqual(*heap_, heap_->root(rp1), *heap_, p2));
+    EXPECT_FALSE(graphsEqual(*heap_, p2, *heap_, heap_->root(rp1)));
     EXPECT_TRUE(graphsEqual(*heap_, heap_->root(rp1), *heap_,
                             heap_->root(rp1)));
     heap_->removeRoot(rs);

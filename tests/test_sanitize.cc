@@ -15,8 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "heap/objectops.hh"
 #include "sanitize/corrupt.hh"
-#include "sanitize/graphcheck.hh"
 #include "sanitize/wirecheck.hh"
 #include "skyway/streams.hh"
 #include "workloads/graphgen.hh"
@@ -31,11 +31,9 @@ namespace
 {
 
 using sanitize::allCorruptionKinds;
-using sanitize::checkHeapGraphs;
 using sanitize::CorruptionKind;
 using sanitize::corruptionKindName;
 using sanitize::expectedFaults;
-using sanitize::GraphCheckResult;
 using sanitize::indexStream;
 using sanitize::injectCorruption;
 using sanitize::WireCheckConfig;
@@ -116,7 +114,7 @@ class SanitizeTest : public ::testing::Test
     {
         Address q = receive(capture({root}));
         GraphCheckResult r =
-            checkHeapGraphs(nodeA_.heap(), root, nodeB_.heap(), q);
+            graphsEqual(nodeA_.heap(), root, nodeB_.heap(), q, true);
         EXPECT_TRUE(r.equal) << r.divergence;
         EXPECT_GE(r.objectsCompared, min_objects);
     }
@@ -406,9 +404,8 @@ TEST_F(SanitizeTest, GraphCheckerAcceptsPreservedHashes)
     std::int32_t h = nodeA_.heap().identityHash(roots.get(slot));
     Address q = receive(capture({roots.get(slot)}));
     EXPECT_EQ(nodeB_.heap().identityHash(q), h);
-    GraphCheckResult r = checkHeapGraphs(nodeA_.heap(),
-                                         roots.get(slot),
-                                         nodeB_.heap(), q, true);
+    GraphCheckResult r = graphsEqual(nodeA_.heap(), roots.get(slot),
+                                     nodeB_.heap(), q, true);
     EXPECT_TRUE(r.equal) << r.divergence;
 }
 
@@ -426,9 +423,8 @@ TEST_F(SanitizeTest, GraphCheckerReportsPrimitiveDivergence)
     field::set<std::int32_t>(nodeB_.heap(), media,
                              k->requireField("width"), -1);
 
-    GraphCheckResult r = checkHeapGraphs(nodeA_.heap(),
-                                         roots.get(slot),
-                                         nodeB_.heap(), q);
+    GraphCheckResult r = graphsEqual(nodeA_.heap(), roots.get(slot),
+                                     nodeB_.heap(), q, true);
     EXPECT_FALSE(r.equal);
     EXPECT_FALSE(r.divergence.empty());
 }
@@ -445,9 +441,8 @@ TEST_F(SanitizeTest, GraphCheckerReportsShapeDivergence)
     MediaSchema schema(nodeB_.klasses());
     field::setRef(nodeB_.heap(), q, *schema.cImages, nullAddr);
 
-    GraphCheckResult r = checkHeapGraphs(nodeA_.heap(),
-                                         roots.get(slot),
-                                         nodeB_.heap(), q);
+    GraphCheckResult r = graphsEqual(nodeA_.heap(), roots.get(slot),
+                                     nodeB_.heap(), q, true);
     EXPECT_FALSE(r.equal);
     EXPECT_NE(r.divergence.find("null"), std::string::npos)
         << r.divergence;
@@ -479,8 +474,8 @@ TEST_F(SanitizeTest, GraphCheckerEnforcesSharingBijection)
     }
 
     GraphCheckResult r =
-        checkHeapGraphs(nodeA_.heap(), rootsA.get(sa), nodeB_.heap(),
-                        rootsB.get(sb), false);
+        graphsEqual(nodeA_.heap(), rootsA.get(sa), nodeB_.heap(),
+                    rootsB.get(sb), false);
     EXPECT_FALSE(r.equal);
     EXPECT_FALSE(r.divergence.empty());
 }
@@ -536,9 +531,8 @@ TEST_F(SanitizeTest, InstrumentedTransferStillRoundTrips)
     out.flush();
     in.finish();
     Address q = in.buffer().roots().at(0);
-    GraphCheckResult r = checkHeapGraphs(nodeA_.heap(),
-                                         roots.get(slot),
-                                         nodeB_.heap(), q);
+    GraphCheckResult r = graphsEqual(nodeA_.heap(), roots.get(slot),
+                                     nodeB_.heap(), q, true);
     EXPECT_TRUE(r.equal) << r.divergence;
     keep_.push_back(in.releaseBuffer());
 }
@@ -558,9 +552,8 @@ TEST_F(SanitizeTest, InstrumentedSerializerAdapterRoundTrips)
     ser.endStream(sink);
     ByteSource src(sink.bytes());
     Address q = des.readObject(src);
-    GraphCheckResult r = checkHeapGraphs(nodeA_.heap(),
-                                         roots.get(slot),
-                                         nodeB_.heap(), q);
+    GraphCheckResult r = graphsEqual(nodeA_.heap(), roots.get(slot),
+                                     nodeB_.heap(), q, true);
     EXPECT_TRUE(r.equal) << r.divergence;
 }
 

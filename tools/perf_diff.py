@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Diff two bench JSON reports (docs/OBSERVABILITY.md schema v1) and
-flag regressions in their deterministic counters.
+flag any change in their deterministic counters.
 
 Usage:
-    perf_diff.py BASELINE CURRENT [--threshold=0.10] [--keys=REGEX]
+    perf_diff.py BASELINE CURRENT [--keys=REGEX]
 
 Rows are matched by label. Only keys matching the allowlist regex are
 compared — by default the schedule-independent quantities (object and
@@ -11,10 +11,12 @@ byte counts), never wall-clock or throughput: those vary run to run on
 shared CI hosts, while the copy-volume counters are exact invariants
 of the workload (every stream copies its share of the graph exactly
 once, regardless of how CAS races resolve), so ANY drift in them is a
-behavior change, not noise. A relative change beyond the threshold in
-either direction fails the diff; so do missing rows or keys.
+behavior change, not noise. Any difference from the baseline fails
+the diff; so do missing rows or keys. A key that differs between two
+runs of the same code is not deterministic and belongs off the
+allowlist.
 
-Exit status: 0 = within threshold, 1 = regression/shape mismatch,
+Exit status: 0 = identical, 1 = changed counter/shape mismatch,
 2 = usage or file error.
 """
 
@@ -56,18 +58,15 @@ def row_values(row, key_re):
     for section in ("values", "metrics"):
         for k, v in row.get(section, {}).items():
             if key_re.match(k) and isinstance(v, (int, float)):
-                out[k] = float(v)
+                out[k] = v
     return out
 
 
 def main(argv):
-    threshold = 0.10
     key_pattern = DEFAULT_KEYS
     paths = []
     for arg in argv[1:]:
-        if arg.startswith("--threshold="):
-            threshold = float(arg.split("=", 1)[1])
-        elif arg.startswith("--keys="):
+        if arg.startswith("--keys="):
             key_pattern = arg.split("=", 1)[1]
         elif arg.startswith("--"):
             sys.exit(f"perf_diff: unknown option {arg}\n{__doc__}")
@@ -104,13 +103,8 @@ def main(argv):
                 continue
             cv = cur_vals[key]
             compared += 1
-            if bv == cv:
-                continue
-            rel = abs(cv - bv) / abs(bv) if bv else float("inf")
-            if rel > threshold:
-                failures.append(
-                    f"row '{label}' {key}: {bv:g} -> {cv:g} "
-                    f"({rel * 100:+.1f}% vs ±{threshold * 100:.0f}%)")
+            if bv != cv:
+                failures.append(f"row '{label}' {key}: {bv} -> {cv}")
     for label in cur_rows:
         if label not in base_rows:
             print(f"perf_diff: note: new row '{label}' (no baseline)")
@@ -118,13 +112,13 @@ def main(argv):
     if compared == 0:
         failures.append("no keys compared — allowlist matched nothing")
     if failures:
-        print(f"perf_diff: {len(failures)} regression(s) against "
+        print(f"perf_diff: {len(failures)} change(s) against "
               f"{paths[0]}:")
         for f in failures:
             print(f"  {f}")
         return 1
     print(f"perf_diff: OK — {compared} values across "
-          f"{len(base_rows)} rows within ±{threshold * 100:.0f}%")
+          f"{len(base_rows)} rows identical")
     return 0
 
 
